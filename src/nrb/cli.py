@@ -4,7 +4,8 @@ Reads exact-rational instance documents (JSON), dispatches to the
 library, and prints a report with any certificate re-verified from the
 serialized numbers before it is emitted.  Exit codes: 0 for a computed
 value or a condition that holds, 1 for a violated condition (with
-certificate), 2 for input problems, 3 for refused oversized inputs.
+certificate), 2 for input problems, 3 for refused oversized inputs, 4
+for an exact self-check that failed (a defect, never an input problem).
 
 Reports are deterministic byte for byte apart from the timing field.
 All rationals appear as strings; scalar fields carry a sibling
@@ -28,7 +29,7 @@ from .duality import (
     member_gap,
     min_set_distance,
 )
-from .errors import CapExceededError, InputError, NrbError
+from .errors import CapExceededError, InputError, InternalCheckError, NrbError
 from .measures import (
     CredalSet,
     PointSpace,
@@ -68,6 +69,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(value: Fraction) -> str:
@@ -213,7 +215,7 @@ def _verify_pareto_witness(
         expectation(f, q) - expectation(g, q) for q in inst.opinions.members
     )
     if margins != witness.premise_margins or any(m < 0 for m in margins):
-        raise InputError("witness premise fails re-verification")
+        raise InternalCheckError("witness premise fails re-verification")
     h = StakesVector(
         space=f.space,
         values=tuple(a - b for a, b in zip(f.values, g.values)),
@@ -226,7 +228,7 @@ def _verify_pareto_witness(
         expectation(g, inst.planner) - eps * penalty
     ) - expectation(f, inst.planner)
     if violation != witness.violation_amount or violation <= 0:
-        raise InputError("witness violation fails re-verification")
+        raise InternalCheckError("witness violation fails re-verification")
 
 
 def _cmd_distance(args, doc: dict) -> tuple[dict, int]:
@@ -259,7 +261,7 @@ def _cmd_gordan(args, doc: dict) -> tuple[dict, int]:
     assert isinstance(outcome, Separation)
     gap = member_gap(outcome.stakes, p_set, q_set)
     if gap != outcome.gap or gap <= eps:
-        raise InputError("separation certificate fails re-verification")
+        raise InternalCheckError("separation certificate fails re-verification")
     body["verdict"] = "violated"
     _put_scalar(body, "value", outcome.gap)
     body["certificate"] = {
@@ -346,7 +348,7 @@ def _cmd_pool_check(args, doc: dict) -> tuple[dict, int]:
             for q in members
         )
         if gap != required or not premise:
-            raise InputError("event certificate fails re-verification")
+            raise InternalCheckError("event certificate fails re-verification")
         body["verdict"] = "violated"
         _put_scalar(body, "epsilon_min", required)
         body["certificate"] = {
@@ -367,7 +369,7 @@ def _cmd_pool_check(args, doc: dict) -> tuple[dict, int]:
         return body, EXIT_OK
     hi = max(q.event_probability(event) for q in inst.opinions.members)
     if 2 * (inst.planner.event_probability(event) - hi) != required:
-        raise InputError("event certificate fails re-verification")
+        raise InternalCheckError("event certificate fails re-verification")
     body["verdict"] = "violated"
     _put_scalar(body, "epsilon_min", required)
     body["certificate"] = {
@@ -412,7 +414,7 @@ def _cmd_rum_check(args, doc: dict) -> tuple[dict, int]:
     else:
         lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, eps)
     if not lhs > rhs:
-        raise InputError("trial certificate fails re-verification")
+        raise InternalCheckError("trial certificate fails re-verification")
     body["verdict"] = "violated"
     body["certificate"] = {
         "tags": {
@@ -473,7 +475,7 @@ def _cmd_verify(args, doc: dict) -> tuple[dict, int]:
     matrix = build_matrix(inst)
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, eps)
     if not lhs > rhs:
-        raise InputError("trial certificate fails re-verification")
+        raise InternalCheckError("trial certificate fails re-verification")
     body["verdict"] = "violated"
     body["certificate"] = {
         "tags": {
@@ -632,6 +634,9 @@ def _run_one(args, handler, path: str, echo: list[str]) -> tuple[dict, int]:
     except CapExceededError as exc:
         report["error"] = str(exc)
         code = EXIT_CAP
+    except InternalCheckError as exc:
+        report["error"] = str(exc)
+        code = EXIT_INTERNAL
     except NrbError as exc:
         report["error"] = str(exc)
         code = EXIT_INPUT

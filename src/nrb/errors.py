@@ -3,8 +3,8 @@
 Three failure modes are distinguished because the command line interface
 maps them to different exit codes: bad input (exit 2), a refused
 computation whose enumeration cap was exceeded (exit 3), and an internal
-exact-arithmetic self-check that did not come out true (a bug, never an
-input problem).
+exact-arithmetic self-check that did not come out true (exit 4: a bug,
+never an input problem).
 """
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapExceededError, InputError
 from .measures import CredalSet
 from .rational import parse_rational
@@ -267,6 +265,8 @@ def _digit_tile(base: int, k: int) -> tuple:
     """All base**k tag prefixes as a (base**k, k) array, row r holding
     the base-`base` digits of r (position 0 fastest), with per-row
     maxima and minima.  Cached: the tile is instance-independent."""
+    import numpy as np
+
     key = (base, k)
     cached = _TILE_CACHE.get(key)
     if cached is None:
@@ -290,6 +290,10 @@ def _scan_tags_numpy(
     overflow 64-bit accumulation, fall back to the plain loop.  Tag
     vectors split into a cached low-digit block, whose dot products are
     computed once, and high digits constant within each block."""
+    # numpy is imported here, not at module level: only this scan uses
+    # it, and importing it is over half of every CLI start's import time.
+    import numpy as np
+
     m = len(p0)
     denom = math.lcm(*(v.denominator for v in p0))
     p0_int = [int(v * denom) for v in p0]

@@ -20,6 +20,8 @@ __all__ = ["parse_rational", "format_rational", "decimal_approx"]
 
 def parse_rational(value: object) -> Fraction:
     """Convert *value* to an exact Fraction, rejecting floats and bools."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise InputError(f"expected a rational number, got bool {value!r}")
     if isinstance(value, (Fraction, int)):

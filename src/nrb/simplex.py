@@ -1,9 +1,18 @@
 """Exact linear programming over the rationals.
 
 A dense two-phase primal simplex with Bland's anti-cycling rule.  All
-arithmetic is exact; no floats ever enter the tableau.  Internally the
-solver uses ``gmpy2.mpq`` when available (same semantics as ``Fraction``,
-several times faster); every public value is a ``Fraction``.
+arithmetic is exact; no floats ever enter the tableau.  Every tableau
+row, the objective row included, is a list of Python ``int`` over one
+positive ``int`` denominator.  A pivot leaves the pivot row's integers in
+place (divided by their gcd) and makes the pivot entry its denominator,
+with the sign made positive.  Every other row with a nonzero entry ``f``
+in the entering column becomes ``row * piv - f * prow`` over
+``den * piv``, reduced by one gcd over the row; where ``piv`` divides
+``f`` this is ``row - (f / piv) * prow`` over the unchanged ``den``,
+updated only on the pivot row's support.  The ratio test cross-multiplies, since a row's denominator cancels from
+``rhs_i / a_i``.  ``Fraction`` values are converted to integer rows once,
+at set-up, and back only when the primal, dual and Farkas vectors are
+read off; every public value is a ``Fraction``.
 
 Solutions come with certificates.  An optimal solution carries the dual
 vector and reduced costs, and is re-verified exactly (primal and dual
@@ -23,12 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 from .errors import InputError, InternalCheckError
 from .rational import parse_rational
@@ -147,72 +152,109 @@ class LpSolution:
     farkas: Optional[tuple[Fraction, ...]] = None
 
 
-def _to_q(x: Fraction):
-    return _Q(x.numerator, x.denominator)
+def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """*values* as integers over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+def _support(row: list[int]) -> list[int]:
+    return [k for k, v in enumerate(row) if v]
 
 
-def _pivot(tableau: list[list], objrow: list, basis: list[int], r: int, c: int) -> None:
-    prow = tableau[r]
-    piv = prow[c]
-    if piv != 1:
-        inv = 1 / piv
-        for k, v in enumerate(prow):
-            if v:
-                prow[k] = v * inv
-    nonzero = [k for k, v in enumerate(prow) if v]
-    for row in tableau:
-        if row is prow:
-            continue
+def _eliminate(
+    row: list[int], den: int, prow: list[int], p: int, f: int, support: list[int]
+) -> tuple[list[int], int]:
+    """Subtract ``f/den`` times the row ``prow/p``, whose entry in the
+    pivot column is 1, from ``row/den``.  *f* is the entry of *row* in the
+    pivot column and *support* lists the nonzero columns of *prow*.  When
+    the denominator grows, the result is reduced by the gcd of the row."""
+    g = gcd(f, p)
+    a, b = p // g, f // g
+    if a == 1:
+        # The denominator does not grow; only the pivot row's support
+        # changes, in place.
+        for k in support:
+            row[k] -= b * prow[k]
+        return row, den
+    row = [v * a - b * w for v, w in zip(row, prow)]
+    den *= a
+    g = gcd(den, *row)
+    if g != 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
+def _pivot(
+    rows: list[list[int]], dens: list[int], basis: list[int], r: int, c: int
+) -> None:
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        prow = [-v for v in prow]
+        p = -p
+    g = gcd(*prow)
+    if g != 1:
+        prow = [v // g for v in prow]
+        p //= g
+    rows[r] = prow
+    dens[r] = p
+    support = _support(prow)
+    for i, row in enumerate(rows):
         f = row[c]
-        if f:
-            for k in nonzero:
-                row[k] -= f * prow[k]
-    f = objrow[c]
-    if f:
-        for k in nonzero:
-            objrow[k] -= f * prow[k]
+        if f and i != r:
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, p, f, support)
     basis[r] = c
 
 
 def _run_simplex(
-    tableau: list[list],
-    objrow: list,
-    basis: list[int],
-    ncols: int,
-    barred: frozenset[int],
+    rows: list[list[int]], dens: list[int], basis: list[int], eligible: int
 ) -> str:
-    """Bland's rule throughout: lowest eligible index enters, ratio ties
-    break on the lowest basic variable index."""
-    zero = _Q(0)
+    """Bland's rule throughout: the lowest of the first *eligible* columns
+    with a negative reduced cost enters, ratio ties break on the lowest
+    basic variable index.  ``rows[-1]`` is the objective row."""
+    m = len(basis)
     for _ in range(_MAX_PIVOTS):
-        enter = -1
-        for j in range(ncols):
-            if j not in barred and objrow[j] < zero:
-                enter = j
-                break
+        obj = rows[m]
+        enter = next((j for j in range(eligible) if obj[j] < 0), -1)
         if enter < 0:
             return OPTIMAL
+        # Row denominators are positive and cancel from rhs_i / a_i, so
+        # ratios compare by cross-multiplying the integers.
         leave = -1
-        best = None
-        for i, row in enumerate(tableau):
+        for i in range(m):
+            row = rows[i]
             a = row[enter]
-            if a > zero:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
+            if a > 0:
+                rhs = row[-1]
+                if leave < 0:
+                    leave, best_rhs, best_a = i, rhs, a
+                    continue
+                lhs_cross, rhs_cross = rhs * best_a, best_rhs * a
+                if lhs_cross < rhs_cross or (
+                    lhs_cross == rhs_cross and basis[i] < basis[leave]
                 ):
-                    best = ratio
-                    leave = i
+                    leave, best_rhs, best_a = i, rhs, a
         if leave < 0:
             return UNBOUNDED
-        _pivot(tableau, objrow, basis, leave, enter)
+        _pivot(rows, dens, basis, leave, enter)
     raise InternalCheckError("simplex failed to terminate")  # pragma: no cover
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((u * v for u, v in zip(a, b) if u and v), Fraction(0))
+
+
+def _weighted_rows(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
+    """``sum_i y_i a_i`` over the constraint rows, skipping zero terms."""
+    s = [Fraction(0)] * lp.n_variables
+    for yi, (coeffs, _, _) in zip(y, lp.constraints):
+        if yi:
+            for j, a in enumerate(coeffs):
+                if a:
+                    s[j] += yi * a
+    return s
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -220,196 +262,178 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     identical solutions, including the choice of optimal vertex."""
     n = lp.n_variables
     minimize = lp.sense == MINIMIZE
+    zero = Fraction(0)
 
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
         if lo is not None and up is not None and lo > up:
             return LpSolution(status=INFEASIBLE)
 
-    c_min = [
-        _to_q(v) if minimize else -_to_q(v) for v in lp.objective
-    ]
-
     # Variable transform: shift lower-bounded variables to x' >= 0, flip
     # upper-only variables, split free ones.  Two-sided bounds add an
     # internal <= row on the shifted variable.
     cols: list[tuple[int, int]] = []  # (user var, sign)
-    base: list = [_Q(0)] * n
-    bound_rows: list[tuple[int, object]] = []  # (column, shifted upper bound)
+    base: list[Fraction] = [zero] * n
+    bound_rows: list[tuple[int, Fraction]] = []  # (column, shifted upper bound)
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
         if lo is not None:
-            base[j] = _to_q(lo)
+            base[j] = lo
             cols.append((j, 1))
             if up is not None:
-                bound_rows.append((len(cols) - 1, _to_q(up - lo)))
+                bound_rows.append((len(cols) - 1, up - lo))
         elif up is not None:
-            base[j] = _to_q(up)
+            base[j] = up
             cols.append((j, -1))
         else:
             cols.append((j, 1))
             cols.append((j, -1))
     n_std = len(cols)
 
-    # Standard-form rows: user rows first, then internal bound rows.
-    std_rows: list[list] = []
-    std_rel: list[str] = []
-    std_rhs: list = []
+    # Standard-form rows as integers over one positive denominator each:
+    # user rows first, then internal bound rows.  A row with a negative
+    # right-hand side is negated, which swaps <= and >=.
+    shifted = [j for j in range(n) if base[j]]
+    std: list[tuple[list[int], str, int, int]] = []  # (coeffs, rel, rhs, den)
     origin_user: list[int] = []  # index into lp.constraints, -1 for bound rows
+    flipped: list[bool] = []
     for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        qcoeffs = [_to_q(v) for v in coeffs]
-        row = [qcoeffs[uj] * sign for (uj, sign) in cols]
-        shift = sum((qcoeffs[j] * base[j] for j in range(n)), _Q(0))
-        std_rows.append(row)
-        std_rel.append(rel)
-        std_rhs.append(_to_q(rhs) - shift)
+        rhs -= sum((coeffs[j] * base[j] for j in shifted), zero)
+        ints, den = _int_row(coeffs + (rhs,))
+        row = [ints[uj] if sign > 0 else -ints[uj] for uj, sign in cols]
+        b = ints[-1]
+        flip = b < 0
+        if flip:
+            row = [-v for v in row]
+            b = -b
+            if rel != EQUAL:
+                rel = LESS_EQUAL if rel == GREATER_EQUAL else GREATER_EQUAL
+        std.append((row, rel, b, den))
         origin_user.append(i)
+        flipped.append(flip)
     for col, ub in bound_rows:
-        row = [_Q(0)] * n_std
-        row[col] = _Q(1)
-        std_rows.append(row)
-        std_rel.append(LESS_EQUAL)
-        std_rhs.append(ub)
+        row = [0] * n_std
+        row[col] = ub.denominator
+        std.append((row, LESS_EQUAL, ub.numerator, ub.denominator))
         origin_user.append(-1)
-
-    m = len(std_rows)
-    flipped = [False] * m
-    for k in range(m):
-        if std_rhs[k] < 0:
-            std_rows[k] = [-v for v in std_rows[k]]
-            std_rhs[k] = -std_rhs[k]
-            flipped[k] = True
-            if std_rel[k] != EQUAL:
-                std_rel[k] = LESS_EQUAL if std_rel[k] == GREATER_EQUAL else GREATER_EQUAL
+        flipped.append(False)
+    m = len(std)
 
     # Tableau columns: structural, then one slack/surplus per inequality
-    # row, then one artificial per >=/= row.  Each row keeps the column
-    # that was its slot in the initial identity so the dual vector can be
-    # read off the final tableau.
-    n_slack = sum(1 for rel in std_rel if rel != EQUAL)
-    art_rows = [k for k in range(m) if std_rel[k] != LESS_EQUAL]
-    n_art = len(art_rows)
-    ncols = n_std + n_slack + n_art
+    # row, then one artificial per >=/= row, then the right-hand side.
+    # Row k stands for rows[k] / dens[k].  Each row keeps the column that
+    # was its slot in the initial identity so the dual vector can be read
+    # off the final tableau.
+    n_slack = sum(1 for _, rel, _, _ in std if rel != EQUAL)
+    n_art = sum(1 for _, rel, _, _ in std if rel != LESS_EQUAL)
+    art_start = n_std + n_slack
+    ncols = art_start + n_art
     ident_col = [0] * m
     basis = [0] * m
-    tableau = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     slack_at = n_std
-    art_at = n_std + n_slack
-    art_cols = frozenset(range(art_at, ncols))
-    for k in range(m):
-        row = std_rows[k] + [_Q(0)] * (n_slack + n_art) + [std_rhs[k]]
-        if std_rel[k] == LESS_EQUAL:
-            row[slack_at] = _Q(1)
+    art_at = art_start
+    for k, (row, rel, b, den) in enumerate(std):
+        row = row + [0] * (n_slack + n_art) + [b]
+        if rel == LESS_EQUAL:
+            row[slack_at] = den
             ident_col[k] = slack_at
-            basis[k] = slack_at
             slack_at += 1
-        elif std_rel[k] == GREATER_EQUAL:
-            row[slack_at] = _Q(-1)
-            slack_at += 1
-            row[art_at] = _Q(1)
-            ident_col[k] = art_at
-            basis[k] = art_at
-            art_at += 1
         else:
-            row[art_at] = _Q(1)
+            if rel == GREATER_EQUAL:
+                row[slack_at] = -den
+                slack_at += 1
+            row[art_at] = den
             ident_col[k] = art_at
-            basis[k] = art_at
             art_at += 1
-        tableau.append(row)
+        basis[k] = ident_col[k]
+        rows.append(row)
+        dens.append(den)
+
+    def price_basis() -> None:
+        # Eliminate the basic columns from the objective row rows[m]; a
+        # basic column is a unit column, so rows[k][basis[k]] == dens[k].
+        for k in range(m):
+            f = rows[m][basis[k]]
+            if f:
+                rows[m], dens[m] = _eliminate(
+                    rows[m], dens[m], rows[k], dens[k], f, _support(rows[k])
+                )
 
     # Phase 1: minimize the artificial total.
-    one = _Q(1)
-    zero = _Q(0)
-    cost1 = [zero] * ncols
-    for j in art_cols:
-        cost1[j] = one
-    objrow = cost1 + [zero]
-    for k in range(m):
-        if cost1[basis[k]]:
-            f = cost1[basis[k]]
-            for idx, v in enumerate(tableau[k]):
-                if v:
-                    objrow[idx] -= f * v
-    status = _run_simplex(tableau, objrow, basis, ncols, frozenset())
+    rows.append([0] * art_start + [1] * n_art + [0])
+    dens.append(1)
+    price_basis()
+    status = _run_simplex(rows, dens, basis, ncols)
     if status != OPTIMAL:  # pragma: no cover - phase 1 is always bounded
         raise InternalCheckError("phase 1 reported unbounded")
-    if -objrow[-1] > 0:
+    obj, oden = rows[m], dens[m]
+    if obj[-1] < 0:
         # Infeasible.  Phase-1 duals over the constraint rows are a
         # Farkas certificate; map back through the row flips.
-        farkas = [None] * len(lp.constraints)
+        farkas: list[Fraction] = [zero] * len(lp.constraints)
         for k in range(m):
             if origin_user[k] < 0:
                 continue
-            y = cost1[ident_col[k]] - objrow[ident_col[k]]
-            farkas[origin_user[k]] = _to_fraction(-y if flipped[k] else y)
+            ic = ident_col[k]
+            y = (oden if ic >= art_start else 0) - obj[ic]
+            farkas[origin_user[k]] = Fraction(-y if flipped[k] else y, oden)
         cert = tuple(farkas)
         verify_infeasibility(lp, cert)
         return LpSolution(status=INFEASIBLE, farkas=cert)
 
     # Drive basic artificials out wherever the row has structural support.
     for k in range(m):
-        if basis[k] in art_cols:
-            row = tableau[k]
-            for j in range(n_std + n_slack):
+        if basis[k] >= art_start:
+            row = rows[k]
+            for j in range(art_start):
                 if row[j]:
-                    _pivot(tableau, objrow, basis, k, j)
+                    _pivot(rows, dens, basis, k, j)
                     break
             # An all-zero row keeps its artificial basic at level zero;
             # the constraint was redundant.
 
     # Phase 2.
-    cost2 = [zero] * ncols
-    for col_idx, (uj, sign) in enumerate(cols):
-        cost2[col_idx] = c_min[uj] * sign
-    objrow = cost2 + [zero]
-    for k in range(m):
-        f = cost2[basis[k]]
-        if f:
-            for idx, v in enumerate(tableau[k]):
-                if v:
-                    objrow[idx] -= f * v
-    status = _run_simplex(tableau, objrow, basis, ncols, art_cols)
+    c_min = [v if minimize else -v for v in lp.objective]
+    ints, dens[m] = _int_row(
+        [c_min[uj] if sign > 0 else -c_min[uj] for uj, sign in cols]
+    )
+    rows[m] = ints + [0] * (n_slack + n_art + 1)
+    price_basis()
+    status = _run_simplex(rows, dens, basis, art_start)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
     x_std = [zero] * n_std
     for k in range(m):
         if basis[k] < n_std:
-            x_std[basis[k]] = tableau[k][-1]
+            x_std[basis[k]] = Fraction(rows[k][-1], dens[k])
     x_user = list(base)
     for col_idx, (uj, sign) in enumerate(cols):
         x_user[uj] += x_std[col_idx] if sign > 0 else -x_std[col_idx]
-    primal = tuple(_to_fraction(v) for v in x_user)
+    primal = tuple(x_user)
 
     # Duals: y = c_B B^{-1}; reading the final tableau at each row's
     # initial identity column gives B^{-1}, and every such column has
     # phase-2 cost zero, so y_k = -objrow[ident_col[k]].
-    dual = [Fraction(0)] * len(lp.constraints)
+    obj, oden = rows[m], dens[m]
+    dual = [zero] * len(lp.constraints)
     for k in range(m):
         if origin_user[k] < 0:
             continue
-        y = -objrow[ident_col[k]]
-        dual[origin_user[k]] = _to_fraction(-y if flipped[k] else y)
+        y = -obj[ident_col[k]]
+        dual[origin_user[k]] = Fraction(-y if flipped[k] else y, oden)
     if not minimize:
         dual = [-y for y in dual]
 
-    objective_value = sum(
-        (lp.objective[j] * primal[j] for j in range(n)), Fraction(0)
-    )
-    reduced = []
-    for j in range(n):
-        r = lp.objective[j] - sum(
-            (dual[i] * lp.constraints[i][0][j] for i in range(len(dual))),
-            Fraction(0),
-        )
-        reduced.append(r)
-
+    weighted = _weighted_rows(lp, dual)
     solution = LpSolution(
         status=OPTIMAL,
-        objective_value=objective_value,
+        objective_value=_dot(lp.objective, primal),
         primal=primal,
         dual=tuple(dual),
-        reduced_costs=tuple(reduced),
+        reduced_costs=tuple(c - s for c, s in zip(lp.objective, weighted)),
     )
     verify_optimal(lp, solution)
     return solution
@@ -437,7 +461,7 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _check(lo is None or x[j] >= lo, f"variable {j} below lower bound")
         _check(up is None or x[j] <= up, f"variable {j} above upper bound")
     for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        lhs = sum((coeffs[j] * x[j] for j in range(n)), Fraction(0))
+        lhs = _dot(coeffs, x)
         if rel == LESS_EQUAL:
             _check(lhs <= rhs, f"constraint {i} violated")
             ok = y[i] <= 0 if minimize else y[i] >= 0
@@ -450,13 +474,12 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _check(ok, f"dual multiplier {i} has the wrong sign")
         _check(y[i] == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
 
+    weighted = _weighted_rows(lp, y)
     bound_term = Fraction(0)
     for j in range(n):
-        r_expected = lp.objective[j] - sum(
-            (y[i] * lp.constraints[i][0][j] for i in range(len(y))), Fraction(0)
-        )
         r = sol.reduced_costs[j]
-        _check(r == r_expected, f"reduced cost {j} inconsistent with duals")
+        _check(r == lp.objective[j] - weighted[j],
+               f"reduced cost {j} inconsistent with duals")
         lo, up = lp.lower[j], lp.upper[j]
         at_lower = r > 0 if minimize else r < 0
         at_upper = r < 0 if minimize else r > 0
@@ -469,10 +492,7 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
                    f"variable {j}: reduced cost pins it to an absent upper bound")
             bound_term += r * up
 
-    dual_value = (
-        sum((y[i] * lp.constraints[i][2] for i in range(len(y))), Fraction(0))
-        + bound_term
-    )
+    dual_value = _dot(y, [rhs for _, _, rhs in lp.constraints]) + bound_term
     _check(
         sol.objective_value == dual_value,
         "primal and dual objective values differ",
@@ -489,27 +509,20 @@ def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
     """
     y = list(farkas)
     _check(len(y) == len(lp.constraints), "certificate length mismatch")
-    n = lp.n_variables
     for i, (_, rel, _) in enumerate(lp.constraints):
         if rel == LESS_EQUAL:
             _check(y[i] <= 0, f"certificate sign at <= row {i}")
         elif rel == GREATER_EQUAL:
             _check(y[i] >= 0, f"certificate sign at >= row {i}")
-    s = [
-        sum((y[i] * lp.constraints[i][0][j] for i in range(len(y))), Fraction(0))
-        for j in range(n)
-    ]
     box_max = Fraction(0)
-    for j in range(n):
-        if s[j] > 0:
+    for j, s in enumerate(_weighted_rows(lp, y)):
+        if s > 0:
             _check(lp.upper[j] is not None,
                    f"certificate needs an upper bound on variable {j}")
-            box_max += s[j] * lp.upper[j]
-        elif s[j] < 0:
+            box_max += s * lp.upper[j]
+        elif s < 0:
             _check(lp.lower[j] is not None,
                    f"certificate needs a lower bound on variable {j}")
-            box_max += s[j] * lp.lower[j]
-    rhs_total = sum(
-        (y[i] * lp.constraints[i][2] for i in range(len(y))), Fraction(0)
-    )
+            box_max += s * lp.lower[j]
+    rhs_total = _dot(y, [rhs for _, _, rhs in lp.constraints])
     _check(box_max < rhs_total, "certificate does not separate")

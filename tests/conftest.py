@@ -98,8 +98,7 @@ def skewed_triples_mixture():
     return tuple(weights)
 
 
-@pytest.fixture(scope="session")
-def warp_cycle():
+def _warp_cycle_instance():
     """Deterministic choice with a classic pairwise reversal: 2 beats 1
     head to head, yet 1 is taken from the full menu."""
     table = {("1", ("1",)): 1, ("2", ("2",)): 1, ("3", ("3",)): 1,
@@ -109,6 +108,11 @@ def warp_cycle():
              ("1", ("1", "2", "3")): 1, ("2", ("1", "2", "3")): 0,
              ("3", ("1", "2", "3")): 0}
     return RumInstance(alternatives=("1", "2", "3"), choice=table)
+
+
+@pytest.fixture(scope="session")
+def warp_cycle():
+    return _warp_cycle_instance()
 
 
 def random_prob_vector(rng: random.Random, space, denom: int = 24):

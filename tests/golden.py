@@ -1,0 +1,126 @@
+"""Golden outputs: CLI reports and full ``LpSolution`` records pinned
+byte for byte, so that a change to the solver's arithmetic cannot move
+a pivot, a vertex, a dual or a certificate unnoticed.
+
+The instances are the suite's worked fixtures; the programs are the 60
+drawn by ``_random_boxed_lp(random.Random(20240817))``.  Regenerate the
+data file only when a change of output is intended:
+
+    PYTHONPATH=src python3 -m tests.golden
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import tempfile
+from pathlib import Path
+
+from nrb import solve_lp
+from nrb.cli import main
+from nrb.rational import format_rational
+
+from .conftest import _sized_menu_instance, _warp_cycle_instance
+from .test_cli import NIELSEN_CREDAL, NIELSEN_POOL, _rum_doc
+from .test_simplex import _random_boxed_lp
+
+DATA = Path(__file__).with_name("golden.json")
+LP_SEED = 20240817
+LP_COUNT = 60
+
+# Each argv names its instance by a file name relative to the working
+# directory, so the echoed command and instance fields carry no path.
+CASES = (
+    ["distance", "credal.json"],
+    ["gordan", "--eps", "1/2", "credal.json"],
+    ["gordan", "--eps", "2/3", "credal.json"],
+    ["pool", "min-eps", "pool.json"],
+    ["pool", "min-eps", "--genest", "pool.json"],
+    ["pool", "min-eps", "--normalized", "pool.json"],
+    ["pool", "min-eps", "--free", "pool.json"],
+    ["pool", "check", "--condition", "c", "--eps", "2/3", "pool.json"],
+    ["pool", "check", "--condition", "c", "--eps", "1/3", "pool.json"],
+    ["pool", "check", "--condition", "cstar", "--eps", "1/3", "pool.json"],
+    ["pool", "check", "--condition", "cstar", "--eps", "1/4", "pool.json"],
+    ["rum", "min-eps", "skewed.json"],
+    ["rum", "min-eps", "warp.json"],
+    ["rum", "min-eps", "--residual", "skewed.json"],
+    ["rum", "min-eps", "--residual", "warp.json"],
+    ["rum", "check", "--eps", "1/10", "skewed.json"],
+    ["rum", "check", "--eps", "1/20", "skewed.json"],
+    ["rum", "check", "--eps", "2", "warp.json"],
+    ["rum", "check", "--eps", "3/2", "warp.json"],
+    ["rum", "check", "--star", "--eps", "1/40", "skewed.json"],
+    ["rum", "check", "--star", "--eps", "1/50", "skewed.json"],
+    ["rum", "check", "--star", "--eps", "1", "warp.json"],
+    ["rum", "check", "--star", "--eps", "1/2", "warp.json"],
+)
+
+
+def documents() -> dict[str, dict]:
+    return {
+        "credal.json": NIELSEN_CREDAL,
+        "pool.json": NIELSEN_POOL,
+        "skewed.json": _rum_doc(_sized_menu_instance()),
+        "warp.json": _rum_doc(_warp_cycle_instance()),
+    }
+
+
+def run_cases(workdir: Path) -> list[dict]:
+    """Run every case with *workdir* as the working directory and return
+    ``{"argv", "exit", "report"}`` records, ``timing_ms`` removed."""
+    for name, doc in documents().items():
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    records = []
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in CASES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            report = json.loads(out.getvalue())
+            del report["timing_ms"]
+            records.append({"argv": list(argv), "exit": code, "report": report})
+    finally:
+        os.chdir(here)
+    return records
+
+
+def _vector(values):
+    return None if values is None else [format_rational(v) for v in values]
+
+
+def lp_records() -> list[dict]:
+    rng = random.Random(LP_SEED)
+    records = []
+    for _ in range(LP_COUNT):
+        sol = solve_lp(_random_boxed_lp(rng))
+        records.append({
+            "status": sol.status,
+            "objective_value": (
+                None if sol.objective_value is None
+                else format_rational(sol.objective_value)
+            ),
+            "primal": _vector(sol.primal),
+            "dual": _vector(sol.dual),
+            "reduced_costs": _vector(sol.reduced_costs),
+            "farkas": _vector(sol.farkas),
+        })
+    return records
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = run_cases(Path(tmp))
+    data = {"reports": reports, "lp_solutions": lp_records()}
+    DATA.write_text(
+        json.dumps(data, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )
+
+
+if __name__ == "__main__":
+    record()

@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nrb import RumInstance, enumerate_menus
-from nrb.cli import main
+from nrb import InternalCheckError, RumInstance, enumerate_menus
+from nrb.cli import EXIT_INTERNAL, main
 
 NIELSEN_CREDAL = {
     "kind": "credal",
@@ -248,6 +248,19 @@ def test_cap_exit_code(capsys, tmp_path):
     code, report = _capture_json(capsys, ["rum", "min-eps", str(path)])
     assert code == 3
     assert "cap" in report["error"] or "8" in report["error"]
+
+
+def test_internal_check_failure_exit_code(capsys, monkeypatch, credal_path):
+    import nrb.simplex
+
+    def failing_audit(lp, sol):
+        raise InternalCheckError("simulated audit failure")
+
+    monkeypatch.setattr(nrb.simplex, "verify_optimal", failing_audit)
+    code, report = _capture_json(capsys, ["distance", credal_path])
+    assert code == EXIT_INTERNAL == 4
+    assert report["error"] == "simulated audit failure"
+    assert "value" not in report
 
 
 def test_stdin_instance(capsys, monkeypatch):

@@ -1,0 +1,27 @@
+"""Byte-identity against recorded outputs (see tests/golden.py): every
+report and every ``LpSolution`` must match what was recorded, field for
+field and in the same key order, not merely agree between two runs."""
+
+import json
+
+import pytest
+
+from .golden import CASES, DATA, lp_records, run_cases
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+def _lines(records):
+    return [json.dumps(r, indent=1, ensure_ascii=False) for r in records]
+
+
+def test_cli_reports_match_recorded_bytes(tmp_path, golden):
+    assert [r["argv"] for r in golden["reports"]] == [list(a) for a in CASES]
+    assert _lines(run_cases(tmp_path)) == _lines(golden["reports"])
+
+
+def test_lp_solutions_match_recorded_bytes(golden):
+    assert _lines(lp_records()) == _lines(golden["lp_solutions"])

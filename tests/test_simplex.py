@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nrb import (
     EQUAL,
@@ -226,3 +228,64 @@ def test_duals_priced_in_user_space():
     assert sol.dual[1] == F(0)
     r = sol.reduced_costs
     assert r[0] == F(0) and r[1] == F(1)
+
+
+def _rationals(low, high):
+    return st.fractions(low, high, max_denominator=12)
+
+
+@st.composite
+def bounded_programs(draw):
+    """Small programs with a bounded feasible region, so that
+    ``brute_force_lp`` is complete: rational data with denominators up to
+    12, negative right-hand sides, two-sided bounds with a nonzero lower
+    bound, and lower-only, upper-only and free variables held in by
+    explicit (scaled) rows."""
+    n = draw(st.integers(1, 3))
+    coeff = _rationals(-6, 6)
+    rhs = _rationals(-8, 8)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = tuple(draw(coeff) for _ in range(n))
+        rel = draw(st.sampled_from([LESS_EQUAL, GREATER_EQUAL]))
+        rows.append((coeffs, rel, draw(rhs)))
+    if draw(st.booleans()):
+        # One equality with support at most: the oracle only tries active
+        # sets that contain every equality, so these must be independent.
+        coeffs = tuple(draw(coeff) for _ in range(n))
+        assume(any(coeffs))
+        rows.append((coeffs, EQUAL, draw(rhs)))
+    lower, upper = [], []
+    for j in range(n):
+        kind = draw(st.sampled_from(["box", "lower", "upper", "free"]))
+        lo = draw(_rationals(-4, 4))
+        hi = lo + draw(_rationals(0, 6))
+        scale = draw(_rationals(F(1, 12), 3))
+        unit = tuple(scale if k == j else F(0) for k in range(n))
+        lower.append(lo if kind in ("box", "lower") else None)
+        upper.append(hi if kind in ("box", "upper") else None)
+        if kind in ("upper", "free"):
+            rows.append((unit, GREATER_EQUAL, scale * lo))
+        if kind in ("lower", "free"):
+            rows.append((unit, LESS_EQUAL, scale * hi))
+    return LinearProgram(
+        objective=tuple(draw(coeff) for _ in range(n)),
+        sense=draw(st.sampled_from(["min", "max"])),
+        constraints=tuple(draw(st.permutations(rows))),
+        lower=tuple(lower),
+        upper=tuple(upper),
+    )
+
+
+@given(bounded_programs())
+@settings(max_examples=150, deadline=None)
+def test_matches_brute_force_on_rational_bounded_programs(lp):
+    sol = solve_lp(lp)
+    status, value = brute_force_lp(lp)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.objective_value == value
+        verify_optimal(lp, sol)
+    else:
+        assert sol.farkas is not None
+        verify_infeasibility(lp, sol.farkas)
