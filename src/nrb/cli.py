@@ -44,7 +44,8 @@ from .oracle import GridSpec, exhaustive_rum_check, grid_max_gap, vertex_distanc
 from .pooling import (
     PoolingInstance,
     PoolingReport,
-    check_condition_C,
+    _additive_report,
+    _condition_C,
     check_condition_CM,
     check_condition_Cstar,
     check_event_minmax,
@@ -56,9 +57,11 @@ from .rational import decimal_approx, format_rational, parse_rational
 from .rum import (
     RumInstance,
     RumReport,
+    _arsp_check,
+    _arsp_star_check,
+    _residual_report,
     build_matrix,
-    check_eps_arsp,
-    check_eps_arsp_star,
+    enumerate_orderings,
     evaluate_arsp,
     evaluate_arsp_star,
     rum_min_eps,
@@ -182,34 +185,52 @@ def _pool_representation(report: PoolingReport) -> dict:
 
 
 def _rum_representation(inst: RumInstance, report: RumReport) -> dict:
-    matrix = build_matrix(inst)
     rep: dict = {"kind": report.kind}
     if report.pi is not None:
         rep["pi"] = {
             _ordering_key(o): _fmt(w)
-            for o, w in zip(matrix.orderings, report.pi)
+            for o, w in zip(enumerate_orderings(inst.alternatives), report.pi)
             if w != 0
         }
     if report.error is not None:
         rep["error"] = {
             _pair_key(y, menu): _fmt(e)
-            for (y, menu), e in zip(matrix.pairs, report.error)
+            for (y, menu), e in zip(inst.pairs(), report.error)
             if e != 0
         }
     if report.residual is not None:
         rep["residual"] = {
             _pair_key(y, menu): _fmt(r)
-            for (y, menu), r in zip(matrix.pairs, report.residual)
+            for (y, menu), r in zip(inst.pairs(), report.residual)
             if r != 0
         }
     return rep
 
 
-def _verify_pareto_witness(
+def _tag_certificate(inst: RumInstance, matrix, cert, eps, star: bool) -> dict:
+    """Re-verify a violating tag vector on *matrix* and render it."""
+    evaluate = evaluate_arsp_star if star else evaluate_arsp
+    lhs, rhs = evaluate(inst, matrix, cert.tags, eps)
+    if not lhs > rhs:
+        raise InternalCheckError("trial certificate fails re-verification")
+    return {
+        "tags": {
+            _pair_key(y, menu): t
+            for (y, menu), t in zip(matrix.pairs, cert.tags)
+            if t
+        },
+        "width": cert.width,
+        "lhs": _fmt(lhs),
+        "rhs": _fmt(rhs),
+        "verified": True,
+    }
+
+
+def _pareto_certificate(
     inst: PoolingInstance, eps: Fraction, witness, star: bool
-) -> None:
-    """Recompute the witness inequalities from its serialized numbers;
-    the emitted certificate must stand on its own."""
+) -> dict:
+    """Recompute the witness inequalities from its serialized numbers,
+    then render it; the emitted certificate must stand on its own."""
     f, g = witness.f, witness.g
     margins = tuple(
         expectation(f, q) - expectation(g, q) for q in inst.opinions.members
@@ -229,6 +250,13 @@ def _verify_pareto_witness(
     ) - expectation(f, inst.planner)
     if violation != witness.violation_amount or violation <= 0:
         raise InternalCheckError("witness violation fails re-verification")
+    return {
+        "f": _vec(f.values),
+        "g": _vec(g.values),
+        "premise_margins": _vec(witness.premise_margins),
+        "violation": _fmt(witness.violation_amount),
+        "verified": True,
+    }
 
 
 def _cmd_distance(args, doc: dict) -> tuple[dict, int]:
@@ -292,41 +320,21 @@ def _cmd_pool_check(args, doc: dict) -> tuple[dict, int]:
     inst = _parse_pooling(doc)
     eps = parse_rational(args.eps)
     body: dict = {"condition": args.condition}
-    if args.condition == "c":
-        witness = check_condition_C(inst, eps)
+    if args.condition in ("c", "cstar"):
+        star = args.condition == "cstar"
+        if star:
+            witness = check_condition_Cstar(inst, eps)
+            report = None if witness else pool_min_eps_genest(inst)
+        else:
+            witness, result = _condition_C(inst, eps)
+            report = None if witness else _additive_report(inst, result)
         if witness is None:
-            report = pool_min_eps_additive(inst)
             body["verdict"] = "holds"
             _put_scalar(body, "epsilon_min", report.epsilon_min)
             body["representation"] = _pool_representation(report)
             return body, EXIT_OK
-        _verify_pareto_witness(inst, eps, witness, star=False)
         body["verdict"] = "violated"
-        body["certificate"] = {
-            "f": _vec(witness.f.values),
-            "g": _vec(witness.g.values),
-            "premise_margins": _vec(witness.premise_margins),
-            "violation": _fmt(witness.violation_amount),
-            "verified": True,
-        }
-        return body, EXIT_VIOLATED
-    if args.condition == "cstar":
-        witness = check_condition_Cstar(inst, eps)
-        if witness is None:
-            report = pool_min_eps_genest(inst)
-            body["verdict"] = "holds"
-            _put_scalar(body, "epsilon_min", report.epsilon_min)
-            body["representation"] = _pool_representation(report)
-            return body, EXIT_OK
-        _verify_pareto_witness(inst, eps, witness, star=True)
-        body["verdict"] = "violated"
-        body["certificate"] = {
-            "f": _vec(witness.f.values),
-            "g": _vec(witness.g.values),
-            "premise_margins": _vec(witness.premise_margins),
-            "violation": _fmt(witness.violation_amount),
-            "verified": True,
-        }
+        body["certificate"] = _pareto_certificate(inst, eps, witness, star)
         return body, EXIT_VIOLATED
     if args.condition == "cm":
         required, (e1, e2) = check_condition_CM(
@@ -395,38 +403,18 @@ def _cmd_rum_check(args, doc: dict) -> tuple[dict, int]:
     inst = _parse_rum(doc)
     eps = parse_rational(args.eps)
     body: dict = {"condition": "arsp-star" if args.star else "arsp"}
-    cert = (
-        check_eps_arsp_star(inst, eps)
-        if args.star
-        else check_eps_arsp(inst, eps)
-    )
+    if args.star:
+        cert, matrix = _arsp_star_check(inst, eps)
+        report = None if cert else _residual_report(inst, matrix)
+    else:
+        cert, report, matrix = _arsp_check(inst, eps)
     if cert is None:
-        report = (
-            rum_residual_min_eps(inst) if args.star else rum_min_eps(inst)
-        )
         body["verdict"] = "holds"
         _put_scalar(body, "epsilon_min", report.epsilon_min)
         body["representation"] = _rum_representation(inst, report)
         return body, EXIT_OK
-    matrix = build_matrix(inst)
-    if args.star:
-        lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, eps)
-    else:
-        lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, eps)
-    if not lhs > rhs:
-        raise InternalCheckError("trial certificate fails re-verification")
     body["verdict"] = "violated"
-    body["certificate"] = {
-        "tags": {
-            _pair_key(y, menu): t
-            for (y, menu), t in zip(matrix.pairs, cert.tags)
-            if t
-        },
-        "width": cert.width,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "verified": True,
-    }
+    body["certificate"] = _tag_certificate(inst, matrix, cert, eps, args.star)
     return body, EXIT_VIOLATED
 
 
@@ -472,22 +460,10 @@ def _cmd_verify(args, doc: dict) -> tuple[dict, int]:
         body["verdict"] = "holds"
         body["representation"] = {"max_tag_checked": args.max_tag}
         return body, EXIT_OK
-    matrix = build_matrix(inst)
-    lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, eps)
-    if not lhs > rhs:
-        raise InternalCheckError("trial certificate fails re-verification")
     body["verdict"] = "violated"
-    body["certificate"] = {
-        "tags": {
-            _pair_key(y, menu): t
-            for (y, menu), t in zip(matrix.pairs, cert.tags)
-            if t
-        },
-        "width": cert.width,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
-        "verified": True,
-    }
+    body["certificate"] = _tag_certificate(
+        inst, build_matrix(inst), cert, eps, star=False
+    )
     return body, EXIT_VIOLATED
 
 

@@ -8,6 +8,11 @@ exactly, and the solver returns both sides: mixture weights attaining the
 minimum distance and a stakes function attaining the same value as an
 expected-payoff gap.
 
+That program is one instance of ``_l1_fit``, the exact L1 distance from
+a target vector to a convex hull of generator columns with its betting
+dual and audit.  Linear pooling (``pooling.pool_min_eps_normalized``)
+and random utility (``rum.rum_min_eps``) are the other two.
+
 On top of that sit two decision procedures.  ``gordan_decide`` classifies
 an instance as Separation (a stakes function guarantees a gap above the
 tolerance) or Proximity (mixtures come within the tolerance), never both.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
 from .measures import (
@@ -29,7 +34,6 @@ from .measures import (
     ProbVector,
     StakesVector,
     expectation,
-    l1_distance,
     mixture,
 )
 from .rational import parse_rational
@@ -61,6 +65,9 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+_Vector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -159,94 +166,99 @@ def _require_shared_space(p_set: CredalSet, q_set: CredalSet) -> None:
         raise InputError("credal sets live on different point spaces")
 
 
-def min_set_distance(p_set: CredalSet, q_set: CredalSet) -> DistanceResult:
-    """Minimize L1 distance over the product of the two hulls.
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((u * v for u, v in zip(a, b) if v), _ZERO)
 
-    One exact linear program: variables are per-point slack for the
-    absolute values plus one mixture weight per member.  The stakes
-    certificate is read off the optimal dual multipliers of the two
-    absolute-value row families and re-verified by substitution.
+
+def _l1_fit(
+    target: Sequence[Fraction],
+    columns: Sequence[Sequence[Fraction]],
+    blocks: Sequence[range],
+) -> tuple[Fraction, _Vector, _Vector, _Vector]:
+    """The L1 fit shared by set distance, pooling and RUM: least
+    ``sum_x |t - G u|_x`` over ``u >= 0``, where the weights of each
+    block of column indices sum to one and columns outside every block
+    scale freely.
+
+    One exact program, variables z then u: ``-z - G u <= -t`` and
+    ``-z + G u <= t`` per coordinate, then one equality row per block.
+    Returns the value, the weights u, the error ``t - G u`` and the
+    betting stakes ``f_x = dual[n + x] - dual[x]``.  Audited by
+    substitution: the error norm is the value; ``|f| <= 1``, with sup
+    norm one at a positive value; ``f . G_j <= 0`` off the blocks; and
+    ``f . t - sum_b max_{j in b} f . G_j`` is the value.
     """
-    _require_shared_space(p_set, q_set)
-    space = p_set.space
-    n = space.size
-    np_, nq = p_set.size, q_set.size
-    nvars = n + np_ + nq  # z block, then p weights, then q weights
-
-    def zcol(x: int) -> int:
-        return x
-
-    def pcol(j: int) -> int:
-        return n + j
-
-    def qcol(k: int) -> int:
-        return n + np_ + k
-
-    rows = []
-    # diff <= z, one row per point (diff = P_mix - Q_mix)
+    n, k = len(target), len(columns)
+    lo = [[_ZERO] * (n + k) for _ in range(n)]
+    hi = [[_ZERO] * (n + k) for _ in range(n)]
     for x in range(n):
-        coeffs = [_ZERO] * nvars
-        coeffs[zcol(x)] = Fraction(-1)
-        for j, p in enumerate(p_set.members):
-            coeffs[pcol(j)] = p.weights[x]
-        for k, q in enumerate(q_set.members):
-            coeffs[qcol(k)] = -q.weights[x]
-        rows.append((tuple(coeffs), LESS_EQUAL, _ZERO))
-    # -z <= diff, one row per point
-    for x in range(n):
-        coeffs = [_ZERO] * nvars
-        coeffs[zcol(x)] = Fraction(-1)
-        for j, p in enumerate(p_set.members):
-            coeffs[pcol(j)] = -p.weights[x]
-        for k, q in enumerate(q_set.members):
-            coeffs[qcol(k)] = q.weights[x]
-        rows.append((tuple(coeffs), LESS_EQUAL, _ZERO))
-    for block, size in ((pcol, np_), (qcol, nq)):
-        coeffs = [_ZERO] * nvars
-        for j in range(size):
-            coeffs[block(j)] = _ONE
+        lo[x][x] = hi[x][x] = _MINUS_ONE
+    for j, col in enumerate(columns):
+        for x, g in enumerate(col):
+            if g:
+                lo[x][n + j] = -g
+                hi[x][n + j] = g
+    rows = [(tuple(r), LESS_EQUAL, -t) for r, t in zip(lo, target)]
+    rows += [(tuple(r), LESS_EQUAL, t) for r, t in zip(hi, target)]
+    for block in blocks:
+        coeffs = [_ZERO] * (n + k)
+        for j in block:
+            coeffs[n + j] = _ONE
         rows.append((tuple(coeffs), EQUAL, _ONE))
-
-    objective = [_ONE] * n + [_ZERO] * (np_ + nq)
     lp = LinearProgram(
-        objective=tuple(objective),
+        objective=(_ONE,) * n + (_ZERO,) * k,
         sense="min",
         constraints=tuple(rows),
-        lower=(_ZERO,) * nvars,
+        lower=(_ZERO,) * (n + k),
     )
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:  # pragma: no cover - feasible and bounded
-        raise InternalCheckError(f"distance program came back {sol.status}")
+        raise InternalCheckError(f"L1-fit program came back {sol.status}")
 
     value = sol.objective_value
-    p_weights = sol.primal[n : n + np_]
-    q_weights = sol.primal[n + np_ :]
-    # Stakes: dual of (-z <= diff) minus dual of (diff <= z), per point.
-    f_vals = [sol.dual[n + x] - sol.dual[x] for x in range(n)]
-    stakes = StakesVector(space=space, values=tuple(f_vals))
-
-    if value > 0 and stakes.norm != 1:  # pragma: no cover - see check below
-        stakes = StakesVector(
-            space=space, values=tuple(v / stakes.norm for v in f_vals)
-        )
-
-    # Audit every promise made by the result type.
-    p_mix = mixture(p_weights, p_set)
-    q_mix = mixture(q_weights, q_set)
-    if l1_distance(p_mix, q_mix) != value:
-        raise InternalCheckError("optimal mixtures do not attain the value")
-    if stakes.norm > 1:
+    weights = sol.primal[n:]
+    error = tuple(
+        t - sum((u * col[x] for u, col in zip(weights, columns) if u), _ZERO)
+        for x, t in enumerate(target)
+    )
+    stakes = tuple(sol.dual[n + x] - sol.dual[x] for x in range(n))
+    if sum(abs(e) for e in error) != value:
+        raise InternalCheckError("fitted error norm disagrees with the value")
+    norm = max(abs(f) for f in stakes)
+    if norm > 1:
         raise InternalCheckError("stakes exceed unit sup norm")
-    if value > 0 and stakes.norm != 1:
+    if value > 0 and norm != 1:
         raise InternalCheckError("positive value but stakes below unit norm")
-    if member_gap(stakes, p_set, q_set) != value:
-        raise InternalCheckError("stakes gap disagrees with the distance")
+    payoffs = [_dot(stakes, col) for col in columns]
+    if any(payoffs[j] > 0 for j in set(range(k)).difference(*blocks)):
+        raise InternalCheckError("stakes gain on an unconstrained column")
+    best = sum((max(payoffs[j] for j in block) for block in blocks), _ZERO)
+    if _dot(stakes, target) - best != value:
+        raise InternalCheckError("stakes gap disagrees with the value")
+    return value, weights, error, stakes
 
+
+def min_set_distance(p_set: CredalSet, q_set: CredalSet) -> DistanceResult:
+    """Minimize L1 distance over the product of the two hulls.
+
+    The L1 fit ``_l1_fit`` with target zero, columns ``-P_j`` then
+    ``Q_k`` and one block per family: its error is the difference of the
+    two mixtures and its audited stakes are the betting certificate.
+    """
+    _require_shared_space(p_set, q_set)
+    np_ = p_set.size
+    columns = [tuple(-v for v in p.weights) for p in p_set.members]
+    columns += [q.weights for q in q_set.members]
+    value, weights, _, stakes = _l1_fit(
+        (_ZERO,) * p_set.space.size,
+        columns,
+        (range(np_), range(np_, np_ + q_set.size)),
+    )
     return DistanceResult(
         value=value,
-        p_weights=p_weights,
-        q_weights=q_weights,
-        stakes=stakes,
+        p_weights=weights[:np_],
+        q_weights=weights[np_:],
+        stakes=StakesVector(space=p_set.space, values=stakes),
     )
 
 

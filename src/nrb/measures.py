@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .rational import format_rational, parse_rational
 from .simplex import (
     GREATER_EQUAL,
@@ -215,7 +215,8 @@ def kr_distance(p: ProbVector, q: ProbVector) -> tuple[Fraction, StakesVector]:
 
     Maximizes ``sum_x f(x) (p - q)(x)`` over f that are 1-Lipschitz for
     the space metric and bounded by 1 in absolute value.  Requires the
-    space to carry a metric.
+    space to carry a metric.  The stakes are re-verified by
+    substitution: bounded, 1-Lipschitz, and attaining the value.
     """
     _same_space(p, q)
     space = p.space
@@ -240,10 +241,18 @@ def kr_distance(p: ProbVector, q: ProbVector) -> tuple[Fraction, StakesVector]:
         upper=(_ONE,) * n,
     )
     sol = solve_lp(lp)
-    if sol.status != OPTIMAL:  # pragma: no cover - always feasible, bounded
-        raise InputError(f"metric program came back {sol.status}")
-    stakes = StakesVector(space=space, values=sol.primal)
-    return sol.objective_value, stakes
+    if sol.status != OPTIMAL:
+        raise InternalCheckError(f"metric program came back {sol.status}")
+    f = sol.primal
+    if any(abs(v) > 1 for v in f):
+        raise InternalCheckError("metric stakes exceed unit sup norm")
+    if any(
+        f[i] - f[j] > space.metric[i][j] for i in range(n) for j in range(n)
+    ):
+        raise InternalCheckError("metric stakes are not 1-Lipschitz")
+    if sum((a * b for a, b in zip(f, diff)), _ZERO) != sol.objective_value:
+        raise InternalCheckError("metric stakes do not attain the value")
+    return sol.objective_value, StakesVector(space=space, values=f)
 
 
 def mixture(weights: Sequence[object], credal: CredalSet) -> ProbVector:

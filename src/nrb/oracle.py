@@ -368,12 +368,38 @@ def _scan_tags_python(
     return None
 
 
+def _independent_rows(
+    rows: list[tuple[list[Fraction], Fraction]], n: int
+) -> Optional[list[int]]:
+    """Indices of a maximal linearly independent subset of the equality
+    rows ``(coefficients, rhs)``, by exact forward elimination, or None
+    when the rows are inconsistent (some combination reads 0 = c, c != 0)."""
+    reduced: list[tuple[int, list[Fraction]]] = []
+    keep = []
+    for idx, (coeffs, rhs) in enumerate(rows):
+        row = list(coeffs) + [rhs]
+        for col, prow in reduced:
+            if row[col]:
+                factor = row[col]
+                row = [a - factor * b for a, b in zip(row, prow)]
+        col = next((c for c in range(n) if row[c]), None)
+        if col is None:
+            if row[n]:
+                return None
+            continue
+        pivot = row[col]
+        reduced.append((col, [v / pivot for v in row]))
+        keep.append(idx)
+    return keep
+
+
 def brute_force_lp(lp: LinearProgram) -> tuple[str, Optional[Fraction]]:
     """Optimum of a linear program by trying every candidate active
-    set: the equality rows always, plus enough inequality rows (finite
-    bounds included) to pin down a point.  Valid for programs whose
-    feasible region is bounded, where every nonempty region has a
-    vertex and some vertex is optimal; returns (status, value)."""
+    set: a linearly independent subset of the equality rows always,
+    plus enough inequality rows (finite bounds included) to pin down a
+    point.  Valid for programs whose feasible region is bounded, where
+    every nonempty region has a vertex and some vertex is optimal;
+    returns (status, value)."""
     n = len(lp.objective)
     eq_rows: list[tuple[list[Fraction], Fraction]] = []
     ineq_rows: list[tuple[list[Fraction], Fraction, str]] = []
@@ -390,22 +416,19 @@ def brute_force_lp(lp: LinearProgram) -> tuple[str, Optional[Fraction]]:
         if lp.upper[j] is not None:
             ineq_rows.append((list(unit), lp.upper[j], LESS_EQUAL))
 
-    if len(eq_rows) >= n:
-        combos = [
-            (list(c), ())
-            for c in itertools.combinations(range(len(eq_rows)), n)
-        ]
-    else:
-        need = n - len(eq_rows)
-        count = math.comb(len(ineq_rows), need)
-        if count > _LP_SYSTEM_CAP:
-            raise CapExceededError(
-                f"{count} candidate systems exceed the enumeration cap"
-            )
-        combos = [
-            (list(range(len(eq_rows))), pick)
-            for pick in itertools.combinations(range(len(ineq_rows)), need)
-        ]
+    basis = _independent_rows(eq_rows, n)
+    if basis is None:
+        return INFEASIBLE, None
+    need = n - len(basis)
+    count = math.comb(len(ineq_rows), need)
+    if count > _LP_SYSTEM_CAP:
+        raise CapExceededError(
+            f"{count} candidate systems exceed the enumeration cap"
+        )
+    combos = [
+        (basis, pick)
+        for pick in itertools.combinations(range(len(ineq_rows)), need)
+    ]
 
     best: Optional[Fraction] = None
     found = False

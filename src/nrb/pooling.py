@@ -11,6 +11,10 @@ achievable, under several error models:
 * normalized additive: nonnegative weights, optionally constrained to
   sum to one, minimizing ||P - sum m_i Q_i||_1.
 
+The additive and normalized levels are the L1 fit ``duality._l1_fit``
+of P to the opinion columns (the additive one through
+``min_set_distance``); the Genest level is its own program.
+
 Each error model pairs with a unanimity ("Pareto") condition on expected
 payoffs or on event probabilities; the checkers return, on failure, a
 pair of payoff functions for which every expert prefers one side while
@@ -26,6 +30,8 @@ from typing import Optional
 from .duality import (
     FULL_SIMPLEX,
     ContaminationRefusal,
+    DistanceResult,
+    _l1_fit,
     min_set_distance,
     contamination_feasible,
 )
@@ -41,7 +47,6 @@ from .measures import (
 )
 from .rational import parse_rational
 from .simplex import (
-    EQUAL,
     LESS_EQUAL,
     OPTIMAL,
     LinearProgram,
@@ -130,7 +135,14 @@ def pool_min_eps_additive(inst: PoolingInstance) -> PoolingReport:
     """Least eps with P = Q_m + e, Q_m a convex combination of the
     opinions and ||e||_1 <= eps.  This is the minimum L1 distance from
     the planner to the opinion hull."""
-    result = min_set_distance(CredalSet((inst.planner,)), inst.opinions)
+    return _additive_report(
+        inst, min_set_distance(CredalSet((inst.planner,)), inst.opinions)
+    )
+
+
+def _additive_report(
+    inst: PoolingInstance, result: DistanceResult
+) -> PoolingReport:
     q_mix = mixture(result.q_weights, inst.opinions)
     error = SignedVector(
         space=inst.space,
@@ -199,56 +211,19 @@ def pool_min_eps_normalized(
 ) -> PoolingReport:
     """Minimize ||P - sum_i m_i Q_i||_1 over nonnegative weights, with
     the weights summing to one when *constrain_sum* is set and free
-    otherwise."""
-    n = inst.space.size
+    otherwise: the L1 fit of P to the opinion columns, in one block or
+    none."""
     nq = inst.opinions.size
-    nvars = n + nq  # z block, then weights
-    rows = []
-    for x in range(n):
-        coeffs = [_ZERO] * nvars
-        coeffs[x] = Fraction(-1)
-        for j, q in enumerate(inst.opinions.members):
-            coeffs[n + j] = -q.weights[x]
-        rows.append((tuple(coeffs), LESS_EQUAL, -inst.planner.weights[x]))
-    for x in range(n):
-        coeffs = [_ZERO] * nvars
-        coeffs[x] = Fraction(-1)
-        for j, q in enumerate(inst.opinions.members):
-            coeffs[n + j] = q.weights[x]
-        rows.append((tuple(coeffs), LESS_EQUAL, inst.planner.weights[x]))
-    if constrain_sum:
-        coeffs = [_ZERO] * n + [_ONE] * nq
-        rows.append((tuple(coeffs), EQUAL, _ONE))
-    lp = LinearProgram(
-        objective=tuple([_ONE] * n + [_ZERO] * nq),
-        sense="min",
-        constraints=tuple(rows),
-        lower=(_ZERO,) * nvars,
+    value, weights, error, _ = _l1_fit(
+        inst.planner.weights,
+        [q.weights for q in inst.opinions.members],
+        (range(nq),) if constrain_sum else (),
     )
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:  # pragma: no cover - always feasible, bounded
-        raise InternalCheckError(f"pooling program came back {sol.status}")
-    weights = sol.primal[n:]
-    approx = [
-        sum(
-            (weights[j] * inst.opinions.members[j].weights[x] for j in range(nq)),
-            _ZERO,
-        )
-        for x in range(n)
-    ]
-    error = SignedVector(
-        space=inst.space,
-        weights=tuple(
-            inst.planner.weights[x] - approx[x] for x in range(n)
-        ),
-    )
-    if error.l1_norm() != sol.objective_value:
-        raise InternalCheckError("normalized error norm mismatch")
     return PoolingReport(
         kind="normalized-additive",
-        epsilon_min=sol.objective_value,
+        epsilon_min=value,
         weights=weights,
-        error=error,
+        error=SignedVector(space=inst.space, weights=error),
         sum_constrained=constrain_sum,
     )
 
@@ -268,32 +243,24 @@ def check_condition_C(
     level being at most eps; otherwise the optimal separating stakes give
     a violating pair with g constant.
     """
+    return _condition_C(inst, eps)[0]
+
+
+def _condition_C(
+    inst: PoolingInstance, eps: object
+) -> tuple[Optional[ParetoWitness], DistanceResult]:
+    """Condition C together with the distance result it was decided
+    on, which also yields the additive report."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     result = min_set_distance(CredalSet((inst.planner,)), inst.opinions)
     if result.value <= tol:
-        return None
-    f = StakesVector(
-        space=inst.space,
-        values=tuple(-v for v in result.stakes.values),
+        return None, result
+    witness = _pareto_witness(
+        inst, result.stakes, lambda h: tol * oscillation(h) / 2
     )
-    floor = min(expectation(f, q) for q in inst.opinions.members)
-    g = _constant_stakes(inst.space, floor)
-    margins = tuple(
-        expectation(f, q) - floor for q in inst.opinions.members
-    )
-    spread = oscillation(
-        StakesVector(
-            space=inst.space,
-            values=tuple(a - b for a, b in zip(f.values, g.values)),
-        )
-    )
-    conclusion_rhs = expectation(g, inst.planner) - tol * spread / 2
-    violation = conclusion_rhs - expectation(f, inst.planner)
-    return ParetoWitness(
-        f=f, g=g, premise_margins=margins, violation_amount=violation
-    )
+    return witness, result
 
 
 def check_condition_Cstar(
@@ -311,9 +278,19 @@ def check_condition_Cstar(
     )
     if not isinstance(outcome, ContaminationRefusal):
         return None
+    return _pareto_witness(
+        inst, outcome.stakes, lambda h: tol * (oscillation(h) - max(h.values))
+    )
+
+
+def _pareto_witness(
+    inst: PoolingInstance, stakes: StakesVector, penalty
+) -> ParetoWitness:
+    """The pair f = -stakes, g = the experts' least expected payoff of f
+    as a constant, with the conclusion's slack ``penalty(f - g)``."""
     f = StakesVector(
         space=inst.space,
-        values=tuple(-v for v in outcome.stakes.values),
+        values=tuple(-v for v in stakes.values),
     )
     floor = min(expectation(f, q) for q in inst.opinions.members)
     g = _constant_stakes(inst.space, floor)
@@ -324,8 +301,7 @@ def check_condition_Cstar(
         space=inst.space,
         values=tuple(a - b for a, b in zip(f.values, g.values)),
     )
-    penalty = oscillation(h) - max(h.values)
-    conclusion_rhs = expectation(g, inst.planner) - tol * penalty
+    conclusion_rhs = expectation(g, inst.planner) - penalty(h)
     violation = conclusion_rhs - expectation(f, inst.planner)
     return ParetoWitness(
         f=f, g=g, premise_margins=margins, violation_amount=violation

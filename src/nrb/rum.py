@@ -8,7 +8,8 @@ function is from rationalizable in two exact senses:
 
 * additive: the least ``eps`` admitting ``P0 = A pi + e`` with mixture
   ``pi`` and ``sum_i |e_i| <= eps``, where A is the 0/1 matrix of best
-  choices (rows are (alternative, menu) pairs, columns orderings);
+  choices (rows are (alternative, menu) pairs, columns orderings), which
+  is the L1 fit ``duality._l1_fit`` of P0 to the columns of A;
 * residual: the least ``eps`` admitting ``P0 = (1 - eps) A pi + eps R``
   with R an arbitrary per-menu probability kernel, so the deviation is
   itself choice-like rather than merely small.
@@ -35,12 +36,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .duality import _l1_fit
 from .errors import CapExceededError, InputError, InternalCheckError
 from .rational import parse_rational
 from .simplex import (
     EQUAL,
     INFEASIBLE,
-    LESS_EQUAL,
     OPTIMAL,
     LinearProgram,
     solve_lp,
@@ -68,6 +69,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNIT = (_ZERO, _ONE)
 
 ENV_MAX_ALTERNATIVES = "NRB_MAX_ALTERNATIVES"
 DEFAULT_ALTERNATIVES_CAP = 7
@@ -302,66 +304,14 @@ def _p0_vector(inst: RumInstance, matrix: ChoiceMatrix) -> list[Fraction]:
 def _min_eps_with_stakes(
     inst: RumInstance, cap: Optional[int] = None
 ) -> tuple[RumReport, ChoiceMatrix, tuple[Fraction, ...]]:
-    """Solve the additive approximation program and also return the
-    optimal dual stakes over the pairs (the betting side)."""
+    """Solve the additive approximation program, the L1 fit of P0 to
+    the matrix columns in one block, and also return the optimal dual
+    stakes over the pairs (the betting side)."""
     matrix = build_matrix(inst, cap)
-    m = len(matrix.pairs)
-    n_ord = len(matrix.orderings)
-    p0 = _p0_vector(inst, matrix)
-    nvars = m + n_ord  # z block, then pi
-
-    rows = []
-    for i in range(m):
-        coeffs = [_ZERO] * nvars
-        coeffs[i] = Fraction(-1)
-        for j in range(n_ord):
-            if matrix.rows[i][j]:
-                coeffs[m + j] = Fraction(-1)
-        rows.append((tuple(coeffs), LESS_EQUAL, -p0[i]))
-    for i in range(m):
-        coeffs = [_ZERO] * nvars
-        coeffs[i] = Fraction(-1)
-        for j in range(n_ord):
-            if matrix.rows[i][j]:
-                coeffs[m + j] = _ONE
-        rows.append((tuple(coeffs), LESS_EQUAL, p0[i]))
-    coeffs = [_ZERO] * m + [_ONE] * n_ord
-    rows.append((tuple(coeffs), EQUAL, _ONE))
-
-    lp = LinearProgram(
-        objective=tuple([_ONE] * m + [_ZERO] * n_ord),
-        sense="min",
-        constraints=tuple(rows),
-        lower=(_ZERO,) * nvars,
+    columns = [tuple(_UNIT[a] for a in col) for col in zip(*matrix.rows)]
+    eps, pi, error, stakes = _l1_fit(
+        _p0_vector(inst, matrix), columns, (range(len(columns)),)
     )
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:  # pragma: no cover - feasible and bounded
-        raise InternalCheckError(f"approximation program came back {sol.status}")
-
-    pi = sol.primal[m:]
-    fitted = [
-        sum(
-            (pi[j] for j in range(n_ord) if matrix.rows[i][j]),
-            _ZERO,
-        )
-        for i in range(m)
-    ]
-    error = tuple(p0[i] - fitted[i] for i in range(m))
-    eps = sol.objective_value
-    if sum(abs(e) for e in error) != eps:
-        raise InternalCheckError("approximation error norm mismatch")
-
-    stakes = tuple(sol.dual[m + i] - sol.dual[i] for i in range(m))
-    if max(abs(v) for v in stakes) > 1:
-        raise InternalCheckError("dual stakes exceed unit norm")
-    best = max(
-        sum((stakes[i] for i in range(m) if matrix.rows[i][j]), _ZERO)
-        for j in range(n_ord)
-    )
-    gap = sum((stakes[i] * p0[i] for i in range(m)), _ZERO) - best
-    if gap != eps:
-        raise InternalCheckError("dual stakes fail to attain the optimum")
-
     report = RumReport(
         kind="additive", epsilon_min=eps, pi=pi, error=error
     )
@@ -438,19 +388,36 @@ def check_eps_arsp(
 
     Returns None when every integer tag vector satisfies the inequality
     (equivalently, the additive level is at most eps).  Otherwise builds
-    a violating tag vector from the optimal dual stakes: shift them to
-    be nonnegative, clear denominators, reduce by the gcd, and verify
-    the strict violation by substitution.
+    a violating tag vector from the optimal dual stakes
+    (``_arsp_certificate``).
     """
+    return _arsp_check(inst, eps, cap)[0]
+
+
+def _arsp_check(
+    inst: RumInstance, eps: object, cap: Optional[int] = None
+) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
+    """``check_eps_arsp`` with the additive report and the matrix it
+    was decided on."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     report, matrix, stakes = _min_eps_with_stakes(inst, cap)
     if report.epsilon_min <= tol:
-        return None
+        return None, report, matrix
+    return _arsp_certificate(inst, matrix, stakes, tol), report, matrix
+
+
+def _arsp_certificate(
+    inst: RumInstance,
+    matrix: ChoiceMatrix,
+    stakes: Sequence[Fraction],
+    tol: Fraction,
+) -> TaggedTrialSequence:
+    """Shift the stakes to be nonnegative, clear denominators, reduce by
+    the gcd, and verify the strict violation by substitution."""
     shift = min(stakes)
-    shifted = [v - shift for v in stakes]
-    tags = _clear_denominators(shifted)
+    tags = _clear_denominators([v - shift for v in stakes])
     cert = TaggedTrialSequence(tags=tuple(tags), width=0)
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
@@ -492,7 +459,10 @@ def rum_residual_min_eps(
     """Least eps with ``P0 = (1 - eps) A pi + eps R`` where R assigns
     each menu a probability vector over its members.  Always solvable:
     eps = 1 puts everything in the residual."""
-    matrix = build_matrix(inst, cap)
+    return _residual_report(inst, build_matrix(inst, cap))
+
+
+def _residual_report(inst: RumInstance, matrix: ChoiceMatrix) -> RumReport:
     p0 = _p0_vector(inst, matrix)
     m = len(matrix.pairs)
     n_ord = len(matrix.orderings)
@@ -550,6 +520,13 @@ def check_eps_arsp_star(
     integers, gcd-reduced, and verified to violate the inequality
     strictly.
     """
+    return _arsp_star_check(inst, eps, cap)[0]
+
+
+def _arsp_star_check(
+    inst: RumInstance, eps: object, cap: Optional[int] = None
+) -> tuple[Optional[TaggedTrialSequence], ChoiceMatrix]:
+    """``check_eps_arsp_star`` with the matrix it was decided on."""
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("level must lie in [0, 1]")
@@ -565,7 +542,7 @@ def check_eps_arsp_star(
     )
     sol = solve_lp(lp)
     if sol.status == OPTIMAL:
-        return None
+        return None, matrix
     if sol.status != INFEASIBLE:  # pragma: no cover
         raise InternalCheckError(f"feasibility program came back {sol.status}")
 
@@ -589,4 +566,4 @@ def check_eps_arsp_star(
     lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("residual tag certificate fails to violate")
-    return cert
+    return cert, matrix

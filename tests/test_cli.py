@@ -309,6 +309,43 @@ def test_rum_instance_round_trips_through_json(capsys, tmp_path, skewed_triples)
     assert rebuilt == skewed_triples
 
 
+def test_each_command_solves_and_builds_once(
+    capsys, monkeypatch, tmp_path, skewed_triples, pool_path
+):
+    """The CLI reuses the report, matrix and stakes the library already
+    computed: one LP solve and one choice matrix per command."""
+    import nrb.cli, nrb.duality, nrb.measures, nrb.oracle, nrb.pooling, nrb.rum
+
+    counts = {"solve_lp": 0, "build_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (
+        nrb.measures, nrb.duality, nrb.pooling, nrb.rum, nrb.oracle, nrb.cli
+    ):
+        for name in counts:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    sk_path = tmp_path / "sk.json"
+    sk_path.write_text(json.dumps(_rum_doc(skewed_triples)))
+    cases = (
+        (["rum", "check", "--eps", "1", str(sk_path)], 0, 1, 1),
+        (["rum", "check", "--eps", "1/20", str(sk_path)], 1, 1, 1),
+        (["rum", "check", "--star", "--eps", "1/50", str(sk_path)], 1, 1, 1),
+        (["pool", "check", "--condition", "c", "--eps", "2/3", pool_path], 0, 1, 0),
+    )
+    for argv, exit_code, solves, builds in cases:
+        counts.update(solve_lp=0, build_matrix=0)
+        code, _ = _capture(capsys, argv)
+        assert code == exit_code, argv
+        assert counts == {"solve_lp": solves, "build_matrix": builds}, argv
+
+
 def test_console_entry_point(credal_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nrb.cli", "distance", credal_path],

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nrb.measures
 from nrb import (
     CredalSet,
     InputError,
+    InternalCheckError,
     PointSpace,
     ProbVector,
     SignedVector,
@@ -24,6 +27,7 @@ from nrb.measures import (
     prob_vector_from_json,
     vector_to_json,
 )
+from nrb.simplex import INFEASIBLE, LpSolution, solve_lp
 
 
 def _space(n):
@@ -206,6 +210,28 @@ class TestKrDistance:
         q = ProbVector(sp, (F(0), F(1, 2), F(1, 2)))
         value, _ = kr_distance(p, q)
         assert value <= l1_distance(p, q)
+
+    def test_solver_failures_are_internal_checks(self, monkeypatch, harmonic_space):
+        """A non-optimal metric program, or stakes that fail the
+        substitution checks, is a defect: InternalCheckError, which the
+        command line maps to exit 4, never InputError (exit 2)."""
+        p = ProbVector(harmonic_space, (F(1),) + (F(0),) * 5)
+        q = ProbVector(harmonic_space, (F(0),) * 5 + (F(1),))
+        monkeypatch.setattr(
+            nrb.measures, "solve_lp", lambda lp: LpSolution(status=INFEASIBLE)
+        )
+        with pytest.raises(InternalCheckError, match="metric program"):
+            kr_distance(p, q)
+
+        def doubled(lp):
+            sol = solve_lp(lp)
+            return dataclasses.replace(
+                sol, primal=tuple(2 * v for v in sol.primal)
+            )
+
+        monkeypatch.setattr(nrb.measures, "solve_lp", doubled)
+        with pytest.raises(InternalCheckError, match="metric stakes"):
+            kr_distance(p, q)
 
 
 def test_credal_set_requires_shared_space():

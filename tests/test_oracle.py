@@ -26,7 +26,7 @@ from nrb import (
     vertex_distance,
 )
 from nrb.oracle import _scan_tags_python, _best_choice_table
-from nrb.simplex import LESS_EQUAL, GREATER_EQUAL, EQUAL, OPTIMAL
+from nrb.simplex import LESS_EQUAL, GREATER_EQUAL, EQUAL, INFEASIBLE, OPTIMAL
 from tests.conftest import random_credal_set, random_rum
 
 
@@ -226,3 +226,36 @@ def test_brute_force_equality_only_system():
     status, value = brute_force_lp(lp)
     assert status == OPTIMAL
     assert value == F(5)
+
+
+def _unit_box_lp(objective, equalities):
+    n = len(objective)
+    return LinearProgram(
+        objective=tuple(F(c) for c in objective),
+        sense="min",
+        constraints=tuple(
+            (tuple(F(c) for c in coeffs), EQUAL, F(rhs))
+            for coeffs, rhs in equalities
+        ),
+        lower=(F(0),) * n,
+        upper=(F(1),) * n,
+    )
+
+
+def test_brute_force_dependent_equalities():
+    """Dependent equality rows are reduced to an independent subset
+    before active sets are picked (two rows, two variables)."""
+    lp = _unit_box_lp((1, 2), (((1, 1), 1), ((2, 2), 2)))
+    assert brute_force_lp(lp) == (OPTIMAL, F(1))
+    assert solve_lp(lp).objective_value == F(1)
+    inconsistent = _unit_box_lp((1, 2), (((1, 1), 1), ((2, 2), 3)))
+    assert brute_force_lp(inconsistent) == (INFEASIBLE, None)
+    assert solve_lp(inconsistent).status == INFEASIBLE
+
+
+def test_brute_force_dependent_equalities_below_variable_count():
+    """Two dependent equalities over three variables: the independent
+    one plus two active bounds pin each vertex."""
+    lp = _unit_box_lp((1, 2, 3), (((1, 1, 1), 1), ((2, 2, 2), 2)))
+    assert brute_force_lp(lp) == (OPTIMAL, F(1))
+    assert solve_lp(lp).objective_value == F(1)
