@@ -67,16 +67,23 @@ def bm_polynomials(
 def bm_negative_norm(inst: RumInstance) -> Fraction:
     """Total negative mass of the alternating sums; zero exactly when
     the choice function is rationalizable."""
-    return sum(
-        (-k for k in bm_polynomials(inst).values() if k < 0), _ZERO
-    )
+    return _negative_mass(bm_polynomials(inst))
 
 
 def hoffman_ratio(inst: RumInstance) -> Optional[Fraction]:
     """Ratio of the exact additive distance to the negative-mass lower
     diagnostic, or None for a rationalizable instance.  Purely a
     condition-number style report; both quantities are exact."""
-    norm = bm_negative_norm(inst)
+    return _ratio(inst, bm_negative_norm(inst))
+
+
+def _negative_mass(sums: dict[object, Fraction]) -> Fraction:
+    """Negative mass of already computed alternating sums."""
+    return sum((-k for k in sums.values() if k < 0), _ZERO)
+
+
+def _ratio(inst: RumInstance, norm: Fraction) -> Optional[Fraction]:
+    """``hoffman_ratio`` from an already computed negative mass."""
     if norm == 0:
         return None
     return rum_min_eps(inst).epsilon_min / norm

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blockmarschak import bm_negative_norm, bm_polynomials, hoffman_ratio
+from .blockmarschak import _negative_mass, _ratio, bm_polynomials
 from .duality import (
     Proximity,
     Separation,
@@ -44,10 +44,9 @@ from .oracle import GridSpec, exhaustive_rum_check, grid_max_gap, vertex_distanc
 from .pooling import (
     PoolingInstance,
     PoolingReport,
-    _additive_report,
     _condition_C,
+    _condition_Cstar,
     check_condition_CM,
-    check_condition_Cstar,
     check_event_minmax,
     pool_min_eps_additive,
     pool_min_eps_genest,
@@ -59,7 +58,6 @@ from .rum import (
     RumReport,
     _arsp_check,
     _arsp_star_check,
-    _residual_report,
     build_matrix,
     enumerate_orderings,
     evaluate_arsp,
@@ -99,6 +97,8 @@ def _load_document(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer past the digit limit
+        raise InputError(f"{path} cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     return doc
@@ -322,12 +322,8 @@ def _cmd_pool_check(args, doc: dict) -> tuple[dict, int]:
     body: dict = {"condition": args.condition}
     if args.condition in ("c", "cstar"):
         star = args.condition == "cstar"
-        if star:
-            witness = check_condition_Cstar(inst, eps)
-            report = None if witness else pool_min_eps_genest(inst)
-        else:
-            witness, result = _condition_C(inst, eps)
-            report = None if witness else _additive_report(inst, result)
+        decide = _condition_Cstar if star else _condition_C
+        witness, report = decide(inst, eps)
         if witness is None:
             body["verdict"] = "holds"
             _put_scalar(body, "epsilon_min", report.epsilon_min)
@@ -403,11 +399,8 @@ def _cmd_rum_check(args, doc: dict) -> tuple[dict, int]:
     inst = _parse_rum(doc)
     eps = parse_rational(args.eps)
     body: dict = {"condition": "arsp-star" if args.star else "arsp"}
-    if args.star:
-        cert, matrix = _arsp_star_check(inst, eps)
-        report = None if cert else _residual_report(inst, matrix)
-    else:
-        cert, report, matrix = _arsp_check(inst, eps)
+    decide = _arsp_star_check if args.star else _arsp_check
+    cert, report, matrix = decide(inst, eps)
     if cert is None:
         body["verdict"] = "holds"
         _put_scalar(body, "epsilon_min", report.epsilon_min)
@@ -421,8 +414,8 @@ def _cmd_rum_check(args, doc: dict) -> tuple[dict, int]:
 def _cmd_rum_bm(args, doc: dict) -> tuple[dict, int]:
     inst = _parse_rum(doc)
     polys = bm_polynomials(inst)
-    norm = bm_negative_norm(inst)
-    ratio = hoffman_ratio(inst)
+    norm = _negative_mass(polys)
+    ratio = _ratio(inst, norm)
     body: dict = {"verdict": "value"}
     _put_scalar(body, "value", norm)
     body["representation"] = {

@@ -170,6 +170,19 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((u * v for u, v in zip(a, b) if v), _ZERO)
 
 
+def _unit_shift(values: Sequence[Fraction]) -> _Vector:
+    """Shift *values* to least entry zero and scale them to largest entry
+    one.  A constant shift moves every expectation under a probability
+    vector alike and a positive scale keeps the sign of a gap, so a
+    separating multiplier vector stays separating in this nonnegative
+    unit-norm form."""
+    shift = min(values)
+    top = max(values) - shift
+    if top == 0:  # pragma: no cover - a valid certificate is nonconstant
+        raise InternalCheckError("degenerate certificate")
+    return tuple((v - shift) / top for v in values)
+
+
 def _l1_fit(
     target: Sequence[Fraction],
     columns: Sequence[Sequence[Fraction]],
@@ -379,15 +392,8 @@ def contamination_feasible(
         raise InternalCheckError(f"feasibility program came back {sol.status}")
 
     # Farkas multipliers on the point rows separate p from the mixture
-    # side; shifting by the minimum and rescaling to sup norm one keeps
-    # the strict inequality and lands in the nonnegative unit ball.
-    f0 = [sol.farkas[x] for x in range(n)]
-    shift = min(f0)
-    shifted = [v - shift for v in f0]
-    top = max(shifted)
-    if top == 0:  # pragma: no cover - impossible for a valid certificate
-        raise InternalCheckError("degenerate refusal stakes")
-    values = tuple(v / top for v in shifted)
+    # side, and keep doing so in their nonnegative unit form.
+    values = _unit_shift(sol.farkas[:n])
     stakes = StakesVector(space=space, values=values)
     lhs = expectation(stakes, p)
     best_q = max(expectation(stakes, q) for q in q_set.members)

@@ -13,12 +13,15 @@ achievable, under several error models:
 
 The additive and normalized levels are the L1 fit ``duality._l1_fit``
 of P to the opinion columns (the additive one through
-``min_set_distance``); the Genest level is its own program.
+``min_set_distance``); the Genest level is the largest opinion mass
+lying under P.
 
 Each error model pairs with a unanimity ("Pareto") condition on expected
 payoffs or on event probabilities; the checkers return, on failure, a
 pair of payoff functions for which every expert prefers one side while
 the planner strictly prefers the other beyond the allowed slack.
+Conditions C and C* are each decided on the one program that computes
+their level, and their witness comes from that program's optimal duals.
 """
 
 from __future__ import annotations
@@ -27,14 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .duality import (
-    FULL_SIMPLEX,
-    ContaminationRefusal,
-    DistanceResult,
-    _l1_fit,
-    min_set_distance,
-    contamination_feasible,
-)
+from .duality import DistanceResult, _l1_fit, _unit_shift, min_set_distance
 from .errors import CapExceededError, InputError, InternalCheckError
 from .measures import (
     CredalSet,
@@ -164,6 +160,15 @@ def pool_min_eps_genest(inst: PoolingInstance) -> PoolingReport:
     """Least eps with P = (1 - eps) Q_m + eps R for some probability
     vector R.  Equivalently: maximize the opinion mass lambda >= 0 with
     sum_j lambda_j Q_j <= P coordinatewise; then eps = 1 - sum lambda."""
+    return _genest_fit(inst)[0]
+
+
+def _genest_fit(
+    inst: PoolingInstance,
+) -> tuple[PoolingReport, tuple[Fraction, ...]]:
+    """The Genest program's report and the optimal duals ``y >= 0`` of
+    its point rows: ``E_Qj[y] >= 1`` for every opinion and
+    ``E_P[y] = 1 - eps``."""
     n = inst.space.size
     nq = inst.opinions.size
     rows = []
@@ -198,12 +203,13 @@ def pool_min_eps_genest(inst: PoolingInstance) -> PoolingReport:
         rhs = covered[x] + (eps * residual.weights[x] if residual else _ZERO)
         if rhs != inst.planner.weights[x]:
             raise InternalCheckError("residual decomposition fails")
-    return PoolingReport(
+    report = PoolingReport(
         kind="genest",
         epsilon_min=eps,
         weights=lam,
         residual=residual,
     )
+    return report, sol.dual
 
 
 def pool_min_eps_normalized(
@@ -248,19 +254,19 @@ def check_condition_C(
 
 def _condition_C(
     inst: PoolingInstance, eps: object
-) -> tuple[Optional[ParetoWitness], DistanceResult]:
-    """Condition C together with the distance result it was decided
-    on, which also yields the additive report."""
+) -> tuple[Optional[ParetoWitness], PoolingReport]:
+    """Condition C together with the additive report it was decided on."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     result = min_set_distance(CredalSet((inst.planner,)), inst.opinions)
+    report = _additive_report(inst, result)
     if result.value <= tol:
-        return None, result
+        return None, report
     witness = _pareto_witness(
         inst, result.stakes, lambda h: tol * oscillation(h) / 2
     )
-    return witness, result
+    return witness, report
 
 
 def check_condition_Cstar(
@@ -268,19 +274,30 @@ def check_condition_Cstar(
 ) -> Optional[ParetoWitness]:
     """Unanimity with the one-sided penalty ``eps * (osc(h) - max h)``
     for h = f - g.  Equivalent to the Genest-style pooling level being at
-    most eps; the witness on failure comes from the contamination
-    refusal stakes."""
+    most eps.  Below that level the Genest program's optimal duals y
+    separate at eps too, since ``E_P[-y] = -(1 - level)`` exceeds
+    ``(1 - eps) max_j E_Qj[-y]``; the witness comes from ``-y`` shifted
+    and scaled to unit stakes."""
+    return _condition_Cstar(inst, eps)[0]
+
+
+def _condition_Cstar(
+    inst: PoolingInstance, eps: object
+) -> tuple[Optional[ParetoWitness], PoolingReport]:
+    """Condition C* together with the Genest report it was decided on."""
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("slack must lie in [0, 1]")
-    outcome = contamination_feasible(
-        inst.planner, inst.opinions, FULL_SIMPLEX, tol
+    report, duals = _genest_fit(inst)
+    if report.epsilon_min <= tol:
+        return None, report
+    stakes = StakesVector(
+        space=inst.space, values=_unit_shift([-y for y in duals])
     )
-    if not isinstance(outcome, ContaminationRefusal):
-        return None
-    return _pareto_witness(
-        inst, outcome.stakes, lambda h: tol * (oscillation(h) - max(h.values))
+    witness = _pareto_witness(
+        inst, stakes, lambda h: tol * (oscillation(h) - max(h.values))
     )
+    return witness, report
 
 
 def _pareto_witness(

@@ -18,9 +18,13 @@ Each distance pairs with a finite test on integer-tagged trials: a tag
 vector t counts how often each (alternative, menu) pair is put on trial,
 and rationality-up-to-eps bounds the planner's total success against the
 best single ordering plus a slack proportional to the tag spread (or,
-for the residual variant, to the largest tag).  When a check fails, the
-returned tag vector violates that inequality strictly, and is verified
-by substitution before being returned.
+for the residual variant, to the largest tag).  Each check is decided
+on the program that computes its distance, and when it fails the tag
+vector comes from that program's optimal duals: the additive stakes,
+or the pair-row duals of the residual program, which separate at every
+level below the residual optimum.  The returned tag vector violates the
+inequality strictly, and is verified by substitution before being
+returned.
 
 Enumeration of orderings is factorial, so the alternative count is
 capped (default 7, overridable via the ``NRB_MAX_ALTERNATIVES``
@@ -36,16 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .duality import _l1_fit
+from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .rational import parse_rational
-from .simplex import (
-    EQUAL,
-    INFEASIBLE,
-    OPTIMAL,
-    LinearProgram,
-    solve_lp,
-)
+from .simplex import EQUAL, OPTIMAL, LinearProgram, solve_lp
 
 __all__ = [
     "ENV_MAX_ALTERNATIVES",
@@ -416,41 +414,12 @@ def _arsp_certificate(
 ) -> TaggedTrialSequence:
     """Shift the stakes to be nonnegative, clear denominators, reduce by
     the gcd, and verify the strict violation by substitution."""
-    shift = min(stakes)
-    tags = _clear_denominators([v - shift for v in stakes])
-    cert = TaggedTrialSequence(tags=tuple(tags), width=0)
+    tags = _clear_denominators(_unit_shift(stakes))
+    cert = TaggedTrialSequence(tags=tuple(tags))
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("tag certificate fails to violate")
     return cert
-
-
-def _residual_rows(
-    matrix: ChoiceMatrix, p0: Sequence[Fraction], eps_fixed: Optional[Fraction]
-) -> tuple[tuple, int]:
-    """Rows for the residual decomposition: mixture mass plus per-pair
-    residual mass reproduce the choice function; total mixture mass is
-    1 - eps.  With *eps_fixed* None, eps is the last variable."""
-    m = len(matrix.pairs)
-    n_ord = len(matrix.orderings)
-    nvars = n_ord + m + (0 if eps_fixed is not None else 1)
-    rows = []
-    for i in range(m):
-        coeffs = [_ZERO] * nvars
-        for j in range(n_ord):
-            if matrix.rows[i][j]:
-                coeffs[j] = _ONE
-        coeffs[n_ord + i] = _ONE
-        rows.append((tuple(coeffs), EQUAL, p0[i]))
-    coeffs = [_ZERO] * nvars
-    for j in range(n_ord):
-        coeffs[j] = _ONE
-    if eps_fixed is None:
-        coeffs[nvars - 1] = _ONE
-        rows.append((tuple(coeffs), EQUAL, _ONE))
-    else:
-        rows.append((tuple(coeffs), EQUAL, _ONE - eps_fixed))
-    return tuple(rows), nvars
 
 
 def rum_residual_min_eps(
@@ -459,19 +428,34 @@ def rum_residual_min_eps(
     """Least eps with ``P0 = (1 - eps) A pi + eps R`` where R assigns
     each menu a probability vector over its members.  Always solvable:
     eps = 1 puts everything in the residual."""
-    return _residual_report(inst, build_matrix(inst, cap))
+    return _residual_fit(inst, build_matrix(inst, cap))[0]
 
 
-def _residual_report(inst: RumInstance, matrix: ChoiceMatrix) -> RumReport:
+def _residual_fit(
+    inst: RumInstance, matrix: ChoiceMatrix
+) -> tuple[RumReport, tuple[Fraction, ...]]:
+    """Solve the residual program on *matrix*: variables mu per ordering,
+    rho per pair, then eps; ``A mu + rho = p0`` per pair (mixture mass
+    plus residual mass reproduce the choice function) and
+    ``sum mu + eps = 1``; minimize eps.  Returns the report and the
+    optimal duals y of the pair rows."""
     p0 = _p0_vector(inst, matrix)
     m = len(matrix.pairs)
     n_ord = len(matrix.orderings)
-    rows, nvars = _residual_rows(matrix, p0, None)
-    objective = [_ZERO] * (nvars - 1) + [_ONE]
+    nvars = n_ord + m + 1
+    rows = []
+    for i in range(m):
+        coeffs = [_ZERO] * nvars
+        for j in range(n_ord):
+            if matrix.rows[i][j]:
+                coeffs[j] = _ONE
+        coeffs[n_ord + i] = _ONE
+        rows.append((tuple(coeffs), EQUAL, p0[i]))
+    rows.append(((_ONE,) * n_ord + (_ZERO,) * m + (_ONE,), EQUAL, _ONE))
     lp = LinearProgram(
-        objective=tuple(objective),
+        objective=(_ZERO,) * (nvars - 1) + (_ONE,),
         sense="min",
-        constraints=rows,
+        constraints=tuple(rows),
         lower=(_ZERO,) * nvars,
     )
     sol = solve_lp(lp)
@@ -491,9 +475,10 @@ def _residual_report(inst: RumInstance, matrix: ChoiceMatrix) -> RumReport:
         fitted = sum((mu[j] for j in range(n_ord) if matrix.rows[i][j]), _ZERO)
         if fitted + rho[i] != p0[i]:
             raise InternalCheckError("residual decomposition fails")
-    return RumReport(
+    report = RumReport(
         kind="residual", epsilon_min=eps, pi=pi, residual=residual
     )
+    return report, sol.dual[:m]
 
 
 def _verify_residual_kernel(
@@ -514,56 +499,38 @@ def check_eps_arsp_star(
 ) -> Optional[TaggedTrialSequence]:
     """Residual-variant rationality test at level *eps* in [0, 1].
 
-    Returns None when the residual decomposition exists at this level.
-    Otherwise the Farkas multipliers of the failed system are shifted
-    per menu (every menu's top tag equal to the global top), cleared to
-    integers, gcd-reduced, and verified to violate the inequality
-    strictly.
+    Returns None when the residual decomposition exists at this level,
+    that is, when the residual level is at most *eps*.  Otherwise the
+    residual program's pair-row duals y (with y0 on the mass row) give
+    ``y . p0 + y0 (1 - eps) = level - y0 eps > 0``, since ``y0 <= 1``.
+    They are shifted and scaled to [0, 1], lifted per menu (every
+    menu's top tag equal to the global top), cleared to integers,
+    gcd-reduced, and verified to violate the inequality strictly.
     """
     return _arsp_star_check(inst, eps, cap)[0]
 
 
 def _arsp_star_check(
     inst: RumInstance, eps: object, cap: Optional[int] = None
-) -> tuple[Optional[TaggedTrialSequence], ChoiceMatrix]:
-    """``check_eps_arsp_star`` with the matrix it was decided on."""
+) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
+    """``check_eps_arsp_star`` with the residual report and the matrix
+    it was decided on."""
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("level must lie in [0, 1]")
     matrix = build_matrix(inst, cap)
-    p0 = _p0_vector(inst, matrix)
-    m = len(matrix.pairs)
-    rows, nvars = _residual_rows(matrix, p0, tol)
-    lp = LinearProgram(
-        objective=(_ZERO,) * nvars,
-        sense="min",
-        constraints=rows,
-        lower=(_ZERO,) * nvars,
-    )
-    sol = solve_lp(lp)
-    if sol.status == OPTIMAL:
-        return None, matrix
-    if sol.status != INFEASIBLE:  # pragma: no cover
-        raise InternalCheckError(f"feasibility program came back {sol.status}")
-
-    h = [sol.farkas[i] for i in range(m)]
-    shift = min(h)
-    h1 = [v - shift for v in h]
-    top = max(h1)
-    if top == 0:  # pragma: no cover - a valid certificate is nonconstant
-        raise InternalCheckError("degenerate residual certificate")
+    report, duals = _residual_fit(inst, matrix)
+    if report.epsilon_min <= tol:
+        return None, report, matrix
+    h = _unit_shift(duals)
     menu_top: dict[tuple[str, ...], Fraction] = {}
-    for idx, (_, menu) in enumerate(matrix.pairs):
-        cur = menu_top.get(menu)
-        if cur is None or h1[idx] > cur:
-            menu_top[menu] = h1[idx]
+    for v, (_, menu) in zip(h, matrix.pairs):
+        menu_top[menu] = max(v, menu_top.get(menu, _ZERO))
     lifted = [
-        h1[idx] + (top - menu_top[matrix.pairs[idx][1]])
-        for idx in range(m)
+        v + _ONE - menu_top[menu] for v, (_, menu) in zip(h, matrix.pairs)
     ]
-    tags = _clear_denominators(lifted)
-    cert = TaggedTrialSequence(tags=tuple(tags), width=0)
+    cert = TaggedTrialSequence(tags=tuple(_clear_denominators(lifted)))
     lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("residual tag certificate fails to violate")
-    return cert, matrix
+    return cert, report, matrix

@@ -289,6 +289,26 @@ def test_batch_merges_and_takes_worst_exit(capsys, tmp_path, credal_path):
     assert "error" in reports[1]
 
 
+def test_oversized_integer_is_an_input_error(capsys, tmp_path, credal_path):
+    """An integer past the interpreter's digit limit is refused as bad
+    input (exit 2 with an error field), alone and inside a batch."""
+    text = json.dumps(NIELSEN_CREDAL)
+    huge = tmp_path / "huge.json"
+    big = "1" + "0" * 5000
+    huge.write_text(text.replace('"1/3", "1/3", "1/3"', big + ", 0, 0"))
+    code, report = _capture_json(capsys, ["distance", str(huge)])
+    assert code == 2
+    assert "error" in report and "value" not in report
+    listfile = tmp_path / "batch.txt"
+    listfile.write_text(f"{huge}\n{credal_path}\n")
+    code, reports = _capture_json(
+        capsys, ["--batch", str(listfile), "distance"]
+    )
+    assert code == 2
+    assert "error" in reports[0]
+    assert reports[1]["value"] == "2/3"
+
+
 def test_reports_are_deterministic(capsys, credal_path):
     _, first = _capture_json(capsys, ["distance", credal_path])
     _, second = _capture_json(capsys, ["distance", credal_path])
@@ -337,13 +357,37 @@ def test_each_command_solves_and_builds_once(
         (["rum", "check", "--eps", "1", str(sk_path)], 0, 1, 1),
         (["rum", "check", "--eps", "1/20", str(sk_path)], 1, 1, 1),
         (["rum", "check", "--star", "--eps", "1/50", str(sk_path)], 1, 1, 1),
+        (["rum", "check", "--star", "--eps", "1/40", str(sk_path)], 0, 1, 1),
         (["pool", "check", "--condition", "c", "--eps", "2/3", pool_path], 0, 1, 0),
+        (["pool", "check", "--condition", "c", "--eps", "1/3", pool_path], 1, 1, 0),
+        (["pool", "check", "--condition", "cstar", "--eps", "1/3", pool_path], 0, 1, 0),
+        (["pool", "check", "--condition", "cstar", "--eps", "1/4", pool_path], 1, 1, 0),
     )
     for argv, exit_code, solves, builds in cases:
         counts.update(solve_lp=0, build_matrix=0)
         code, _ = _capture(capsys, argv)
         assert code == exit_code, argv
         assert counts == {"solve_lp": solves, "build_matrix": builds}, argv
+
+
+def test_rum_bm_computes_the_sums_once(capsys, monkeypatch, warp_path):
+    """``rum bm`` derives the negative mass and the ratio from one pass
+    over the Block-Marschak sums."""
+    import nrb.blockmarschak, nrb.cli
+
+    calls = []
+    original = nrb.blockmarschak.bm_polynomials
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    for mod in (nrb.blockmarschak, nrb.cli):
+        monkeypatch.setattr(mod, "bm_polynomials", counted)
+    code, report = _capture_json(capsys, ["rum", "bm", warp_path])
+    assert (code, report["value"]) == (0, "2")
+    assert report["representation"]["hoffman_ratio"] == "1"
+    assert len(calls) == 1
 
 
 def test_console_entry_point(credal_path):

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from nrb import (
+    FULL_SIMPLEX,
     CapExceededError,
+    ContaminationRefusal,
     CredalSet,
     InputError,
     InternalCheckError,
@@ -20,6 +22,7 @@ from nrb import (
     check_condition_CM,
     check_condition_Cstar,
     check_event_minmax,
+    contamination_feasible,
     expectation,
     mixture,
     oscillation,
@@ -168,6 +171,28 @@ def test_condition_Cstar_matches_genest():
             else:
                 assert wit is not None
                 _verify_witness(inst, wit, eps, one_sided=True)
+
+
+def test_condition_Cstar_matches_contamination():
+    """C* decided on the Genest program agrees with the fixed-level
+    contamination program, and its witness pays the negated refusal
+    stakes."""
+    rng = random.Random(5150)
+    violated = 0
+    for _ in range(320):
+        inst = random_pooling(rng)
+        for eps in EPS_GRID:
+            wit = check_condition_Cstar(inst, eps)
+            outcome = contamination_feasible(
+                inst.planner, inst.opinions, FULL_SIMPLEX, eps
+            )
+            if isinstance(outcome, ContaminationRefusal):
+                assert wit is not None
+                assert wit.f.values == tuple(-v for v in outcome.stakes.values)
+                violated += 1
+            else:
+                assert wit is None
+    assert violated > 0
 
 
 def test_star_implies_doubled_plain():

@@ -114,6 +114,28 @@ def test_skewed_triples_residual_certificates(skewed_triples):
     assert check_eps_arsp_star(skewed_triples, F(1)) is None
 
 
+def test_star_check_decides_at_the_residual_level():
+    """ArSP* holds exactly up to the residual level; below it the
+    certificate read off the residual program's duals violates."""
+    rng = random.Random(6060)
+    violated = 0
+    for _ in range(30):
+        inst = random_rum(rng, 3)
+        matrix = build_matrix(inst)
+        level = rum_residual_min_eps(inst).epsilon_min
+        levels = {level, min(level + F(1, 1000), F(1))}
+        if level > 0:
+            levels.add(level - min(level, F(1, 1000)))
+        for eps in sorted(levels):
+            cert = check_eps_arsp_star(inst, eps)
+            assert (cert is None) == (level <= eps)
+            if cert is not None:
+                lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, eps)
+                assert lhs > rhs
+                violated += 1
+    assert violated > 0
+
+
 # ---------------------------------------------------------------------------
 # the deterministic pairwise-reversal instance
 
