@@ -45,6 +45,10 @@ CASES = (
     ["pool", "check", "--condition", "c", "--eps", "1/3", "pool.json"],
     ["pool", "check", "--condition", "cstar", "--eps", "1/3", "pool.json"],
     ["pool", "check", "--condition", "cstar", "--eps", "1/4", "pool.json"],
+    ["pool", "check", "--condition", "cm", "--eps", "0", "pool.json"],
+    ["pool", "check", "--condition", "cm", "--eps", "1/3", "pool.json"],
+    ["pool", "check", "--condition", "minmax", "--eps", "1/2", "pool.json"],
+    ["pool", "check", "--condition", "minmax", "--eps", "2/3", "pool.json"],
     ["rum", "min-eps", "skewed.json"],
     ["rum", "min-eps", "warp.json"],
     ["rum", "min-eps", "--residual", "skewed.json"],
