@@ -9,9 +9,11 @@ Falmagne's theorem says the choice function is a mixture of ordering
 maximizers exactly when every ``K(y, Y)`` is nonnegative; the values
 are then the mixture's marginals "y is best in Y, beaten by the rest".
 Summing the negative parts gives a cheap lower-bound diagnostic for how
-non-rationalizable a choice function is.  Unlike the enumeration-based
-distances, everything here is polynomial in the number of menus, so no
-alternative cap applies.
+non-rationalizable a choice function is.  The sums and their negative
+mass are polynomial in the number of menus and take no alternative cap.
+``hoffman_ratio`` is not: on a non-rationalizable table it solves the
+additive program ``rum_min_eps`` over all n! orderings, so it refuses
+tables beyond the RUM alternative cap and grows factorially below it.
 """
 
 from __future__ import annotations

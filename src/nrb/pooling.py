@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import ge
 from typing import Optional
 
 from .duality import DistanceResult, _l1_fit, _unit_shift, min_set_distance
@@ -66,7 +68,10 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-DEFAULT_EVENT_CAP = 12  # event pairs grow as 4^points; refuse beyond this
+# Event tables have 2^points entries per vector; the CM pair scan
+# compares up to about 4^points / 2 pairs (a planner inside the opinion
+# hull prunes nothing), so refuse beyond this.
+DEFAULT_EVENT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -325,14 +330,25 @@ def _pareto_witness(
     )
 
 
-def _event_probabilities(p: ProbVector) -> list[Fraction]:
-    """Probability of every subset of points, indexed by bitmask."""
-    n = p.space.size
-    out = [_ZERO] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        out[mask] = out[mask & (mask - 1)] + p.weights[low]
-    return out
+def _event_table(
+    planner: ProbVector, opinions: CredalSet
+) -> tuple[int, list[int], list[list[int]]]:
+    """Every event's probability under the planner and under each
+    opinion, as integers over one common denominator ``d`` (the lcm of
+    all weight denominators): ``(d, planner table, opinion tables)``,
+    each table indexed by bitmask, bit i standing for point i."""
+    vectors = (planner,) + opinions.members
+    d = lcm(*(w.denominator for v in vectors for w in v.weights))
+    tables = []
+    for v in vectors:
+        out = [0]
+        for w in v.weights:
+            # the events containing this point are those already listed
+            # with it added, at mask + 2^i
+            weight = w.numerator * (d // w.denominator)
+            out += [s + weight for s in out]
+        tables.append(out)
+    return d, tables[0], tables[1:]
 
 
 def _mask_labels(space, mask: int) -> tuple[str, ...]:
@@ -349,6 +365,31 @@ def _check_event_cap(space, max_points: int) -> None:
         )
 
 
+def _cm_scan(p_ev: list[int], q_ev: list[list[int]]) -> tuple[int, int, int]:
+    """The largest ``p_ev[m2] - p_ev[m1]`` over mask pairs with
+    ``qe[m1] >= qe[m2]`` in every opinion table, and the
+    lexicographically first pair attaining it; ``(0, 0, 0)`` when no
+    gap is positive.
+
+    For each E1 in ascending order the masks are scanned by decreasing
+    planner weight (ties by mask), so the first E2 that every opinion
+    weighs no more than E1 is this E1's best; the scan stops once no
+    remaining E2 could beat the best gap so far."""
+    cols = list(zip(*q_ev))
+    order = sorted(range(len(p_ev)), key=lambda m: (-p_ev[m], m))
+    ranked = [(p_ev[m], m, cols[m]) for m in order]
+    best, best_m1, best_m2 = 0, 0, 0
+    for m1, c1 in enumerate(cols):
+        bound = p_ev[m1] + best
+        for p2, m2, c2 in ranked:
+            if p2 <= bound:
+                break
+            if all(map(ge, c1, c2)):
+                best, best_m1, best_m2 = p2 - p_ev[m1], m1, m2
+                break
+    return best, best_m1, best_m2
+
+
 def check_condition_CM(
     planner: ProbVector,
     opinions: CredalSet,
@@ -360,31 +401,34 @@ def check_condition_CM(
     at most eps.
 
     Returns the least slack for which the condition holds together with
-    a pair of events attaining it; the condition at *eps* holds exactly
-    when ``eps >= min_required_eps``.  Exhaustive over all event pairs,
-    so the point space is capped.
+    the lexicographically first pair of events (by bitmask) attaining
+    it; the condition at *eps* holds exactly when
+    ``eps >= min_required_eps``.  Event probabilities are integers over
+    one common denominator, and the pair scan visits each E1's
+    candidates by decreasing planner weight, stopping at the first one
+    every expert ranks below E1 or once none can beat the best gap.
+    The worst case is a planner inside the opinion hull, where nothing
+    prunes and about half of the 4^points pairs are compared, so the
+    point space is capped.  The returned pair is re-verified in
+    ``Fraction`` arithmetic.
     """
     parse_rational(eps)  # validated for form; the threshold is returned
     if planner.space != opinions.space:
         raise InputError("planner and opinions on different point spaces")
     _check_event_cap(planner.space, max_points)
-    p_ev = _event_probabilities(planner)
-    q_ev = [_event_probabilities(q) for q in opinions.members]
-    total = 1 << planner.space.size
-    best = _ZERO
-    best_pair = (0, 0)
-    for m1 in range(total):
-        for m2 in range(total):
-            if all(qe[m1] >= qe[m2] for qe in q_ev):
-                gap = p_ev[m2] - p_ev[m1]
-                if gap > best:
-                    best = gap
-                    best_pair = (m1, m2)
-    pair = (
-        _mask_labels(planner.space, best_pair[0]),
-        _mask_labels(planner.space, best_pair[1]),
+    d, p_ev, q_ev = _event_table(planner, opinions)
+    best, m1, m2 = _cm_scan(p_ev, q_ev)
+    required = Fraction(best, d)
+    e1 = _mask_labels(planner.space, m1)
+    e2 = _mask_labels(planner.space, m2)
+    gap = planner.event_probability(e2) - planner.event_probability(e1)
+    premise = all(
+        q.event_probability(e1) >= q.event_probability(e2)
+        for q in opinions.members
     )
-    return best, pair
+    if gap != required or not premise:
+        raise InternalCheckError("event pair fails re-verification")
+    return required, (e1, e2)
 
 
 def check_event_minmax(
@@ -396,29 +440,27 @@ def check_event_minmax(
     planner at most ``max_i Q_i(E) + eps/2`` on every event, and at least
     ``min_i Q_i(E) - eps/2``.  The two thresholds coincide (complement
     an event to swap them); both are returned, along with the first
-    event attaining the upper-envelope slack."""
+    event attaining the upper-envelope slack, re-verified in
+    ``Fraction`` arithmetic."""
     if planner.space != opinions.space:
         raise InputError("planner and opinions on different point spaces")
     _check_event_cap(planner.space, max_points)
-    p_ev = _event_probabilities(planner)
-    q_ev = [_event_probabilities(q) for q in opinions.members]
-    total = 1 << planner.space.size
-    worst_over = _ZERO
-    worst_under = _ZERO
-    worst_mask = 0
-    for mask in range(total):
-        hi = max(qe[mask] for qe in q_ev)
-        lo = min(qe[mask] for qe in q_ev)
-        if p_ev[mask] - hi > worst_over:
-            worst_over = p_ev[mask] - hi
+    d, p_ev, q_ev = _event_table(planner, opinions)
+    worst_over = worst_under = worst_mask = 0
+    for mask, (p, hi, lo) in enumerate(
+        zip(p_ev, map(max, zip(*q_ev)), map(min, zip(*q_ev)))
+    ):
+        if p - hi > worst_over:
+            worst_over = p - hi
             worst_mask = mask
-        worst_under = max(worst_under, lo - p_ev[mask])
-    eps_over = 2 * worst_over
-    eps_under = 2 * worst_under
+        if lo - p > worst_under:
+            worst_under = lo - p
+    eps_over = Fraction(2 * worst_over, d)
+    eps_under = Fraction(2 * worst_under, d)
     if eps_over != eps_under:
         raise InternalCheckError("envelope thresholds must coincide")
-    labels = planner.space.labels
-    event = tuple(
-        labels[i] for i in range(planner.space.size) if worst_mask >> i & 1
-    )
+    event = _mask_labels(planner.space, worst_mask)
+    hi = max(q.event_probability(event) for q in opinions.members)
+    if 2 * (planner.event_probability(event) - hi) != eps_over:
+        raise InternalCheckError("envelope event fails re-verification")
     return eps_over, eps_under, event

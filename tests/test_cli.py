@@ -263,6 +263,56 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch, credal_path):
     assert "value" not in report
 
 
+def test_event_pair_audit_catches_a_corrupted_scan(
+    capsys, monkeypatch, pool_path
+):
+    """The CM pair is re-verified in the library, so a wrong pair exits
+    4 whether the condition is violated (eps 0) or holds (eps 1/3)."""
+    import nrb.pooling
+
+    scan = nrb.pooling._cm_scan
+
+    def swapped(p_ev, q_ev):
+        best, m1, m2 = scan(p_ev, q_ev)
+        return best, m2, m1
+
+    monkeypatch.setattr(nrb.pooling, "_cm_scan", swapped)
+    for eps in ("0", "1/3"):
+        code, report = _capture_json(
+            capsys,
+            ["pool", "check", "--condition", "cm", "--eps", eps, pool_path],
+        )
+        assert code == EXIT_INTERNAL == 4
+        assert "re-verification" in report["error"]
+
+
+def test_envelope_audit_catches_a_corrupted_table(
+    capsys, monkeypatch, pool_path
+):
+    """Moving one unit of planner mass onto {1} and off its complement
+    keeps the two envelope thresholds equal, so only the re-verification
+    of the returned event can catch it."""
+    import nrb.pooling
+
+    table = nrb.pooling._event_table
+
+    def shifted(planner, opinions):
+        d, p_ev, q_ev = table(planner, opinions)
+        p_ev = list(p_ev)
+        p_ev[1] += d
+        p_ev[-2] -= d
+        return d, p_ev, q_ev
+
+    monkeypatch.setattr(nrb.pooling, "_event_table", shifted)
+    for eps in ("0", "2"):
+        code, report = _capture_json(
+            capsys,
+            ["pool", "check", "--condition", "minmax", "--eps", eps, pool_path],
+        )
+        assert code == EXIT_INTERNAL == 4
+        assert "re-verification" in report["error"]
+
+
 def test_stdin_instance(capsys, monkeypatch):
     import io
 

@@ -30,7 +30,7 @@ from nrb import (
     pool_min_eps_genest,
     pool_min_eps_normalized,
 )
-from tests.conftest import random_pooling
+from tests.conftest import random_pooling, random_prob_vector
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +342,97 @@ def test_single_expert_levels_collapse(three_space):
         p.weights[x] / q.weights[x] for x in range(3) if q.weights[x] > 0
     )
     assert gen.epsilon_min == 1 - best_scale
+
+
+# ---------------------------------------------------------------------------
+# the integer event kernel against the Fraction enumeration it replaced
+
+
+def _brute_event_probabilities(p: ProbVector) -> list:
+    n = p.space.size
+    out = [F(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        out[mask] = out[mask & (mask - 1)] + p.weights[low]
+    return out
+
+
+def _brute_labels(space, mask):
+    return tuple(space.labels[i] for i in range(space.size) if mask >> i & 1)
+
+
+def _brute_condition_CM(planner, opinions):
+    """All 4^n event pairs in ``Fraction`` arithmetic, first pair kept."""
+    p_ev = _brute_event_probabilities(planner)
+    q_ev = [_brute_event_probabilities(q) for q in opinions.members]
+    total = 1 << planner.space.size
+    best = F(0)
+    best_pair = (0, 0)
+    for m1 in range(total):
+        for m2 in range(total):
+            if all(qe[m1] >= qe[m2] for qe in q_ev):
+                gap = p_ev[m2] - p_ev[m1]
+                if gap > best:
+                    best = gap
+                    best_pair = (m1, m2)
+    space = planner.space
+    return best, (_brute_labels(space, best_pair[0]),
+                  _brute_labels(space, best_pair[1]))
+
+
+def _brute_event_minmax(planner, opinions):
+    """All 2^n events in ``Fraction`` arithmetic, first event kept."""
+    p_ev = _brute_event_probabilities(planner)
+    q_ev = [_brute_event_probabilities(q) for q in opinions.members]
+    worst_over = worst_under = F(0)
+    worst_mask = 0
+    for mask in range(1 << planner.space.size):
+        hi = max(qe[mask] for qe in q_ev)
+        lo = min(qe[mask] for qe in q_ev)
+        if p_ev[mask] - hi > worst_over:
+            worst_over = p_ev[mask] - hi
+            worst_mask = mask
+        worst_under = max(worst_under, lo - p_ev[mask])
+    return (2 * worst_over, 2 * worst_under,
+            _brute_labels(planner.space, worst_mask))
+
+
+def _coarse_prob(rng, space):
+    """A lattice vector whose denominator is drawn from {2, 3, 4, 6, 12},
+    so equal event weights, and ties in both scans, are common."""
+    return random_prob_vector(rng, space, rng.choice((2, 3, 4, 6, 12)))
+
+
+def test_event_kernel_matches_fraction_enumeration():
+    rng = random.Random(20261018)
+    positive = 0
+    for _ in range(520):
+        n = rng.randint(1, 6)
+        space = PointSpace(labels=tuple(str(i) for i in range(n)))
+        planner = _coarse_prob(rng, space)
+        if rng.random() < 0.2:  # a planner inside the hull: level 0
+            opinions = CredalSet((planner,))
+        else:
+            opinions = CredalSet(tuple(
+                _coarse_prob(rng, space) for _ in range(rng.randint(1, 4))
+            ))
+        expected = _brute_condition_CM(planner, opinions)
+        assert check_condition_CM(planner, opinions, 0) == expected
+        assert check_event_minmax(planner, opinions) == _brute_event_minmax(
+            planner, opinions
+        )
+        positive += expected[0] > 0
+    assert positive >= 200  # many draws must exercise the pruned scan
+
+
+def test_event_kernel_finishes_in_hull_at_eleven_points():
+    """Inside the hull no gap is positive, so the pair scan cannot prune
+    and compares about half of the 4^11 pairs."""
+    rng = random.Random(11)
+    space = PointSpace(labels=tuple(str(i) for i in range(11)))
+    members = CredalSet(
+        tuple(random_prob_vector(rng, space, 12) for _ in range(3))
+    )
+    planner = mixture((F(1, 2), F(1, 3), F(1, 6)), members)
+    assert check_condition_CM(planner, members, 0) == (F(0), ((), ()))
+    assert check_event_minmax(planner, members) == (F(0), F(0), ())

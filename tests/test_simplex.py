@@ -239,23 +239,14 @@ def bounded_programs(draw):
     """Small programs with a bounded feasible region, so that
     ``brute_force_lp`` is complete: rational data with denominators up to
     12, negative right-hand sides, two-sided bounds with a nonzero lower
-    bound, and lower-only, upper-only and free variables held in by
-    explicit (scaled) rows."""
+    bound, up to n equalities (some of them combinations of the others),
+    and lower-only, upper-only and free variables held in by explicit
+    (scaled) rows."""
     n = draw(st.integers(1, 3))
     coeff = _rationals(-6, 6)
     rhs = _rationals(-8, 8)
     rows = []
-    for _ in range(draw(st.integers(1, 3))):
-        coeffs = tuple(draw(coeff) for _ in range(n))
-        rel = draw(st.sampled_from([LESS_EQUAL, GREATER_EQUAL]))
-        rows.append((coeffs, rel, draw(rhs)))
-    if draw(st.booleans()):
-        # One equality with support at most: the oracle only tries active
-        # sets that contain every equality, so these must be independent.
-        coeffs = tuple(draw(coeff) for _ in range(n))
-        assume(any(coeffs))
-        rows.append((coeffs, EQUAL, draw(rhs)))
-    lower, upper = [], []
+    lower, upper, anchor = [], [], []
     for j in range(n):
         kind = draw(st.sampled_from(["box", "lower", "upper", "free"]))
         lo = draw(_rationals(-4, 4))
@@ -264,10 +255,48 @@ def bounded_programs(draw):
         unit = tuple(scale if k == j else F(0) for k in range(n))
         lower.append(lo if kind in ("box", "lower") else None)
         upper.append(hi if kind in ("box", "upper") else None)
+        anchor.append((lo + hi) / 2)
         if kind in ("upper", "free"):
             rows.append((unit, GREATER_EQUAL, scale * lo))
         if kind in ("lower", "free"):
             rows.append((unit, LESS_EQUAL, scale * hi))
+    # Half of the inequalities and fresh equalities hold at the centre
+    # of the bounds, so that programs with several equalities are often
+    # still feasible.
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = tuple(draw(coeff) for _ in range(n))
+        rel = draw(st.sampled_from([LESS_EQUAL, GREATER_EQUAL]))
+        if draw(st.booleans()):
+            slack = draw(_rationals(0, 4))
+            centre = sum((c * x for c, x in zip(coeffs, anchor)), F(0))
+            b = centre + slack if rel == LESS_EQUAL else centre - slack
+        else:
+            b = draw(rhs)
+        rows.append((coeffs, rel, b))
+    equalities = []
+    for _ in range(draw(st.integers(0, n))):
+        if equalities and draw(st.booleans()):
+            # Dependent: a combination of the earlier equalities, with
+            # the same combination of their right-hand sides (redundant)
+            # or a fresh one (usually inconsistent, so infeasible).
+            mult = [draw(_rationals(-3, 3)) for _ in equalities]
+            coeffs = tuple(
+                sum((k * row[0][j] for k, row in zip(mult, equalities)), F(0))
+                for j in range(n)
+            )
+            if draw(st.booleans()):
+                b = sum((k * row[2] for k, row in zip(mult, equalities)), F(0))
+            else:
+                b = draw(rhs)
+        else:
+            coeffs = tuple(draw(coeff) for _ in range(n))
+            if draw(st.booleans()):
+                b = sum((c * x for c, x in zip(coeffs, anchor)), F(0))
+            else:
+                b = draw(rhs)
+        assume(any(coeffs))
+        equalities.append((coeffs, EQUAL, b))
+    rows += equalities
     return LinearProgram(
         objective=tuple(draw(coeff) for _ in range(n)),
         sense=draw(st.sampled_from(["min", "max"])),
