@@ -26,8 +26,13 @@ level below the residual optimum.  The returned tag vector violates the
 inequality strictly, and is verified by substitution before being
 returned.
 
-Enumeration of orderings is factorial, so the alternative count is
-capped (default 7, overridable via the ``NRB_MAX_ALTERNATIVES``
+``build_matrix`` takes time linear in the matrix's entries, reading
+each menu's favorites off the block structure of the ordering
+enumeration.  Scoring a tag vector (``evaluate_arsp``,
+``evaluate_arsp_star``) finds the best single ordering by a subset DP in
+O(n^2 2^n) steps, with no scan of the n! columns.  ``ChoiceMatrix`` and
+the approximation programs are still n! columns wide, so the alternative
+count is capped (default 7, overridable via the ``NRB_MAX_ALTERNATIVES``
 environment variable or an explicit argument).
 """
 
@@ -248,22 +253,57 @@ class RumReport:
 
 
 def build_matrix(inst: RumInstance, cap: Optional[int] = None) -> ChoiceMatrix:
-    """Enumerate orderings and tabulate their best choices."""
+    """Enumerate orderings and tabulate their best choices, in time
+    linear in the matrix's entries.
+
+    ``itertools.permutations`` lists the orderings of a remaining set R
+    in blocks of ``(|R| - 1)!``, one per leading member in list order.
+    So the favorites of a menu over all orderings of R form one byte
+    string: a leading member on the menu wins its whole block, and any
+    other leading member passes the block to the orderings of R without
+    it.  Each row then flags where its alternative wins.  The result
+    is still n! columns wide, hence the alternative cap.
+    """
     orderings = enumerate_orderings(inst.alternatives, cap)
-    rank = [
-        {a: i for i, a in enumerate(ordering)} for ordering in orderings
-    ]
+    n = len(inst.alternatives)
+    memo: dict[tuple[int, int], bytes] = {}
+
+    def winners(menu: int, rest: int) -> bytes:
+        # menu is a subset of rest: leaders off the menu recurse without
+        # themselves, so no menu member ever leaves rest
+        out = memo.get((menu, rest))
+        if out is None:
+            block = math.factorial(rest.bit_count() - 1)
+            parts = []
+            for a in range(n):
+                if rest >> a & 1:
+                    parts.append(
+                        bytes((a,)) * block if menu >> a & 1
+                        else winners(menu, rest ^ (1 << a))
+                    )
+            out = memo[(menu, rest)] = b"".join(parts)
+        return out
+
+    # two passes: every menu's winners first, rows only once the memo
+    # is gone, so the large row tuples do not interleave with it
+    bit, full = _bits(inst), (1 << n) - 1
     pairs = inst.pairs()
-    rows = []
-    for y, menu in pairs:
-        row = []
-        for r in rank:
-            best = min(menu, key=r.__getitem__)
-            row.append(1 if best == y else 0)
-        rows.append(tuple(row))
-    return ChoiceMatrix(
-        pairs=pairs, orderings=orderings, rows=tuple(rows)
-    )
+    wins: dict[tuple[str, ...], bytes] = {}
+    for _, menu in pairs:
+        if menu not in wins:
+            wins[menu] = winners(sum(map(bit.__getitem__, menu)), full)
+    memo.clear()
+    flags = {
+        a: bytes(i) + b"\x01" + bytes(255 - i)
+        for i, a in enumerate(inst.alternatives)
+    }
+    rows = tuple(tuple(wins[menu].translate(flags[y])) for y, menu in pairs)
+    return ChoiceMatrix(pairs=pairs, orderings=orderings, rows=rows)
+
+
+def _bits(inst: RumInstance) -> dict[str, int]:
+    """Bit of each alternative in a menu bitmask, by list position."""
+    return {a: 1 << i for i, a in enumerate(inst.alternatives)}
 
 
 def instance_from_mixture(
@@ -323,6 +363,34 @@ def rum_min_eps(inst: RumInstance, cap: Optional[int] = None) -> RumReport:
     return report
 
 
+def _best_ordering_total(
+    inst: RumInstance, matrix: ChoiceMatrix, t: Sequence[int]
+) -> int:
+    """Largest total tag any single ordering collects, without a scan of
+    the n! columns: ``V(R) = max_{a in R} [w(a, R) + V(R - a)]``, where
+    ``w(a, R)`` sums the tags of the pairs ``(a, M)`` with ``M ⊆ R``.  An
+    ordering of R led by a wins exactly the menus of R that contain a,
+    and the menus without a are left to the orderings of ``R - a``.
+    ``w`` is a zeta (subset-sum) transform of the tags, so the whole
+    step is O(n^2 2^n) exact additions."""
+    bit = _bits(inst)
+    size = 1 << len(bit)
+    w = {a: [0] * size for a in bit}
+    for (y, menu), tag in zip(matrix.pairs, t):
+        w[y][sum(map(bit.__getitem__, menu))] += tag
+    for row in w.values():
+        for b in bit.values():
+            for r in range(size):
+                if r & b:
+                    row[r] += row[r ^ b]
+    value = [0] * size
+    for r in range(1, size):
+        value[r] = max(
+            w[a][r] + value[r ^ b] for a, b in bit.items() if r & b
+        )
+    return value[-1]
+
+
 def evaluate_arsp(
     inst: RumInstance,
     matrix: ChoiceMatrix,
@@ -331,17 +399,16 @@ def evaluate_arsp(
 ) -> tuple[Fraction, Fraction]:
     """Sides of the tagged-trials inequality at slack *eps*: observed
     success total versus best-ordering total plus ``width * eps / 2``.
-    The condition holds when lhs <= rhs for every tag vector."""
+    The condition holds when lhs <= rhs for every tag vector.  The
+    best-ordering total is a subset DP over the matrix's pairs, O(n^2 2^n)
+    steps (``_best_ordering_total``), not a scan of its n! columns."""
     tol = parse_rational(eps)
     t = list(tags)
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
     p0 = _p0_vector(inst, matrix)
     lhs = sum((p0[i] * t[i] for i in range(len(t))), _ZERO)
-    best = max(
-        sum(t[i] for i in range(len(t)) if matrix.rows[i][j])
-        for j in range(len(matrix.orderings))
-    )
+    best = _best_ordering_total(inst, matrix, t)
     width = max(t) - min(t)
     rhs = best + Fraction(width) * tol / 2
     return lhs, rhs
@@ -354,17 +421,16 @@ def evaluate_arsp_star(
     eps: object,
 ) -> tuple[Fraction, Fraction]:
     """Sides of the residual-variant inequality: observed total versus
-    ``(1 - eps) * best ordering + (2^n - 1) * eps * max tag``."""
+    ``(1 - eps) * best ordering + (2^n - 1) * eps * max tag``, with the
+    best ordering found by the same O(n^2 2^n) subset DP as
+    ``evaluate_arsp``."""
     tol = parse_rational(eps)
     t = list(tags)
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
     p0 = _p0_vector(inst, matrix)
     lhs = sum((p0[i] * t[i] for i in range(len(t))), _ZERO)
-    best = max(
-        sum(t[i] for i in range(len(t)) if matrix.rows[i][j])
-        for j in range(len(matrix.orderings))
-    )
+    best = _best_ordering_total(inst, matrix, t)
     n_menus = (1 << len(inst.alternatives)) - 1
     rhs = (1 - tol) * best + n_menus * tol * max(t)
     return lhs, rhs

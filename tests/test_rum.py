@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrb import (
     CapExceededError,
@@ -278,6 +280,117 @@ def test_menu_enumeration_order():
         ("1", "2"), ("1", "3"), ("2", "3"),
         ("1", "2", "3"),
     )
+
+
+def _reference_matrix(inst):
+    """The rank-lookup builder: each ordering's favorite on each menu by
+    ``min(menu, key=rank)``."""
+    orderings = enumerate_orderings(inst.alternatives)
+    rank = [
+        {a: i for i, a in enumerate(ordering)} for ordering in orderings
+    ]
+    rows = []
+    for y, menu in inst.pairs():
+        rows.append(tuple(
+            1 if min(menu, key=r.__getitem__) == y else 0 for r in rank
+        ))
+    return inst.pairs(), orderings, tuple(rows)
+
+
+def _relabelled_rum(rng, labels):
+    """A random table over *labels*, listed in that order."""
+    base = random_rum(rng, len(labels))
+    name = dict(zip(base.alternatives, labels))
+    table = {
+        (name[y], tuple(name[a] for a in menu)): p
+        for (y, menu), p in base.choice.items()
+    }
+    return RumInstance(alternatives=tuple(labels), choice=table)
+
+
+@pytest.mark.parametrize("labels", [
+    ("a",), ("b", "a"), ("1", "2", "3"), ("z", "x", "y", "w"),
+    ("c", "a", "b", "e", "d"), ("f", "b", "d", "a", "e", "c"),
+])
+def test_block_builder_matches_rank_lookup(labels):
+    """Position order and string order differ for most label lists; the
+    matrix must follow positions, as ``enumerate_orderings`` does."""
+    inst = _relabelled_rum(random.Random(len(labels)), labels)
+    matrix = build_matrix(inst)
+    pairs, orderings, rows = _reference_matrix(inst)
+    assert matrix.pairs == pairs
+    assert matrix.orderings == orderings
+    assert matrix.rows == rows
+    assert all(
+        type(row) is tuple and all(type(v) is int for v in row)
+        for row in matrix.rows
+    )
+
+
+def _scan_best(matrix, t):
+    """Best-ordering total by a scan of every column."""
+    return max(
+        sum(t[i] for i in range(len(t)) if matrix.rows[i][j])
+        for j in range(len(matrix.orderings))
+    )
+
+
+def _reference_sides(inst, matrix, t, eps):
+    """Both inequalities' sides with the best-ordering term scanned."""
+    p0 = [inst.probability(y, menu) for y, menu in matrix.pairs]
+    lhs = sum((p0[i] * t[i] for i in range(len(t))), F(0))
+    best = _scan_best(matrix, t)
+    arsp = (lhs, best + F(max(t) - min(t)) * eps / 2)
+    n_menus = (1 << inst.n_alternatives) - 1
+    star = (lhs, (1 - eps) * best + n_menus * eps * max(t))
+    return arsp, star
+
+
+_SCAN_INSTANCES = {
+    n: _relabelled_rum(random.Random(100 + n), labels)
+    for n, labels in enumerate(
+        [("a",), ("b", "a"), ("c", "a", "b"), ("d", "b", "a", "c"),
+         ("c", "a", "b", "e", "d")],
+        start=1,
+    )
+}
+_SCAN_MATRICES = {n: build_matrix(inst) for n, inst in _SCAN_INSTANCES.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=5),
+    eps=st.sampled_from([F(0), F(1, 10), F(1, 2), F(3, 7), F(1)]),
+)
+def test_subset_dp_matches_column_scan(data, n, eps):
+    inst, matrix = _SCAN_INSTANCES[n], _SCAN_MATRICES[n]
+    m = len(matrix.pairs)
+    kind = data.draw(st.sampled_from(["zero", "constant", "free"]))
+    if kind == "zero":
+        t = [0] * m
+    elif kind == "constant":
+        t = [data.draw(st.integers(min_value=1, max_value=50))] * m
+    else:
+        t = data.draw(st.lists(
+            st.integers(min_value=0, max_value=50), min_size=m, max_size=m
+        ))
+    arsp, star = _reference_sides(inst, matrix, t, eps)
+    assert evaluate_arsp(inst, matrix, t, eps) == arsp
+    assert evaluate_arsp_star(inst, matrix, t, eps) == star
+
+
+def test_best_ordering_total_of_a_column_at_seven():
+    """Tags equal to one ordering's column score one per menu: 127."""
+    inst = random_rum(random.Random(7), 7)
+    matrix = build_matrix(inst)
+    for j in (0, 1234, 5039):
+        t = [row[j] for row in matrix.rows]
+        assert evaluate_arsp(inst, matrix, t, 0)[1] == 127
+        assert evaluate_arsp_star(inst, matrix, t, 0)[1] == 127
+        assert evaluate_arsp(inst, matrix, t, 1) == (
+            evaluate_arsp(inst, matrix, t, 0)[0], F(255, 2)
+        )
 
 
 # ---------------------------------------------------------------------------
