@@ -61,6 +61,9 @@ CASES = (
     ["rum", "check", "--star", "--eps", "1/50", "skewed.json"],
     ["rum", "check", "--star", "--eps", "1", "warp.json"],
     ["rum", "check", "--star", "--eps", "1/2", "warp.json"],
+    ["verify", "exhaustive-rum", "warp.json", "--eps", "1", "--max-tag", "2"],
+    ["verify", "exhaustive-rum", "warp.json", "--eps", "2", "--max-tag", "3"],
+    ["verify", "exhaustive-rum", "skewed.json", "--eps", "1", "--max-tag", "1"],
 )
 
 

@@ -152,6 +152,29 @@ def test_exhaustive_agrees_with_lp_check():
                 assert hit is not None
 
 
+# First violating vector of each blend theta = i/49 of the reversal
+# instance toward the uniform mixture (acceptance criterion 9's family)
+# at slack 1 and max_tag 3, digits in pair order, recorded from the
+# full enumeration.  The scan must reach the same vector first.
+_BLEND_FIRST_HITS = ["000010000100"] * 21 + [None] * 29
+
+
+def test_exhaustive_first_hits_on_blend_family(warp_cycle):
+    alts = ("1", "2", "3")
+    tame = instance_from_mixture(alts, (F(1, 6),) * 6)
+    hits = []
+    for i in range(50):
+        theta = F(i, 49)
+        table = {
+            key: (1 - theta) * warp_cycle.choice[key] + theta * tame.choice[key]
+            for key in warp_cycle.choice
+        }
+        inst = RumInstance(alternatives=alts, choice=table)
+        hit = exhaustive_rum_check(inst, F(1), max_tag=3)
+        hits.append(None if hit is None else "".join(map(str, hit.tags)))
+    assert hits == _BLEND_FIRST_HITS
+
+
 def test_exhaustive_caps_and_validation(warp_cycle, skewed_triples):
     with pytest.raises(CapExceededError):
         exhaustive_rum_check(skewed_triples, 1, max_tag=1)
