@@ -5,8 +5,13 @@ suite can cross-check the optimized modules against an implementation
 too simple to share their bugs: set-to-set distance by enumerating
 candidate vertices and re-measuring with a locally written l1 sum,
 the betting side by exhausting a finite grid of stakes, the tagged
-trial inequality by enumerating every tag vector up to a bound, and
-linear programs by trying every potentially active constraint set.
+trial inequality over every tag vector up to a bound, and linear
+programs by trying every potentially active constraint set.
+
+The tag scan walks the vectors depth first in their enumeration order
+and skips a subtree only when an integer upper bound proves that no
+vector in it violates, so it returns the enumeration's first violating
+vector; ``_scan_tags_python`` keeps the plain loop as its reference.
 
 These functions are exact but unapologetically exponential; they carry
 tight input caps and exist for small instances only.
@@ -50,7 +55,6 @@ _RESOLUTION_CAP = 8
 _RUM_SIZE_CAP = 3
 _TAG_CAP = 3
 _LP_SYSTEM_CAP = 50_000
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,12 @@ def exhaustive_rum_check(
     """Check the tagged-trials inequality for every tag vector with
     entries in 0..max_tag, in a fixed enumeration order (pair 0 is the
     fastest-cycling digit).  Returns the first violating vector, or
-    None when the inequality holds throughout the enumerated range."""
+    None when the inequality holds throughout the enumerated range.
+
+    The vectors are walked depth first in that same order, and a
+    subtree is skipped only when an upper bound shows that none of its
+    vectors violates (``_scan_tags``).  The walk therefore reaches the
+    enumeration's first violating vector first, in far fewer steps."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
@@ -247,106 +256,58 @@ def exhaustive_rum_check(
         raise CapExceededError(f"tags above {_TAG_CAP} are out of range")
     pairs = inst.pairs()
     p0 = [inst.probability(y, menu) for y, menu in pairs]
-    best_rows = _best_choice_table(inst)
-    base = max_tag + 1
-    total = base ** len(pairs)
-    if base == 1:
-        return None  # only the all-zero vector, which never violates
-    hit = _scan_tags_numpy(p0, best_rows, base, total, tol)
+    hit = _scan_tags(p0, _best_choice_table(inst), max_tag, tol)
     if hit is None:
         return None
     return TaggedTrialSequence(tags=tuple(hit))
 
 
-_TILE_CACHE: dict[tuple[int, int], tuple] = {}
-
-
-def _digit_tile(base: int, k: int) -> tuple:
-    """All base**k tag prefixes as a (base**k, k) array, row r holding
-    the base-`base` digits of r (position 0 fastest), with per-row
-    maxima and minima.  Cached: the tile is instance-independent."""
-    import numpy as np
-
-    key = (base, k)
-    cached = _TILE_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(base**k, dtype=np.int64)
-        powers = np.array([base**i for i in range(k)], dtype=np.int64)
-        tile = (idx[:, None] // powers[None, :]) % base
-        cached = (tile, tile.max(axis=1), tile.min(axis=1))
-        _TILE_CACHE[key] = cached
-    return cached
-
-
-def _scan_tags_numpy(
+def _scan_tags(
     p0: list[Fraction],
     best_rows: list[list[int]],
-    base: int,
-    total: int,
+    max_tag: int,
     eps: Fraction,
 ) -> Optional[list[int]]:
-    """Vectorized scan in exact integer arithmetic.  The inequality is
-    cleared of denominators first; if the cleared coefficients could
-    overflow 64-bit accumulation, fall back to the plain loop.  Tag
-    vectors split into a cached low-digit block, whose dot products are
-    computed once, and high digits constant within each block."""
-    # numpy is imported here, not at module level: only this scan uses
-    # it, and importing it is over half of every CLI start's import time.
-    import numpy as np
+    """First violating tag vector in ``_scan_tags_python``'s order, by
+    a pruned depth-first walk in exact integers.
 
+    Over ``d = lcm(p0 denominators)`` and ``eps = a/b`` the vector t
+    violates exactly when ``min_j sum_i c[j][i] t_i > d a (max t - min
+    t)`` with ``c[j][i] = 2b (d p0_i - d A_ji)``.  Digit m-1 is fixed
+    first and digit 0 last, each in ascending order, which is the
+    enumeration order.  A child is skipped when even the largest sum
+    the free digits can add, ``room``, leaves every ordering at or below
+    the slack of the width the fixed digits already span: no vector
+    below it violates, so the first vector reached is the first hit."""
     m = len(p0)
-    denom = math.lcm(*(v.denominator for v in p0))
-    p0_int = [int(v * denom) for v in p0]
+    d = math.lcm(*(v.denominator for v in p0))
     a, b = eps.numerator, eps.denominator
-    # violation: 2*b*(t . p0_int) > 2*b*denom*best(t) + denom*a*width(t)
-    max_tag = base - 1
-    bound = (
-        2 * b * max_tag * sum(p0_int)
-        + 2 * b * denom * max_tag * m
-        + denom * a * max_tag
-    )
-    if bound >= 1 << 62:
-        return _scan_tags_python(p0, best_rows, base, total, eps)
-    lhs_w = [2 * b * p for p in p0_int]
-    scale = 2 * b * denom
-    width_w = denom * a
-    n_ord = len(best_rows)
-
-    k = 1
-    while base ** (k + 1) <= _CHUNK and k + 1 <= m:
-        k += 1
-    tile, tile_max, tile_min = _digit_tile(base, k)
-    low_lhs = tile @ np.array(lhs_w[:k], dtype=np.int64)
-    low_best = tile @ (
-        np.array([row[:k] for row in best_rows], dtype=np.int64).T * scale
-    )
-
-    n_high = m - k
-    for block in range(base**n_high):
-        hi_digits = []
-        v = block
-        for _ in range(n_high):
-            hi_digits.append(v % base)
-            v //= base
-        hi_lhs = sum(d * w for d, w in zip(hi_digits, lhs_w[k:]))
-        best = low_best[:, 0] + (
-            scale * sum(d * best_rows[0][k + i] for i, d in enumerate(hi_digits))
+    coef = [
+        [2 * b * (int(p * d) - d * flag) for p, flag in zip(p0, row)]
+        for row in best_rows
+    ]
+    # room[i][j]: the most that digits 0..i-1 can add to ordering j's sum
+    room = [[0] * len(coef)]
+    for i in range(m - 1):
+        room.append(
+            [r + max_tag * max(0, c[i]) for r, c in zip(room[-1], coef)]
         )
-        for j in range(1, n_ord):
-            hi_b = scale * sum(
-                d * best_rows[j][k + i] for i, d in enumerate(hi_digits)
-            )
-            np.maximum(best, low_best[:, j] + hi_b, out=best)
-        if n_high:
-            top = np.maximum(tile_max, max(hi_digits))
-            bottom = np.minimum(tile_min, min(hi_digits))
-        else:
-            top, bottom = tile_max, tile_min
-        bad = low_lhs + hi_lhs > best + width_w * (top - bottom)
-        if bad.any():
-            row = tile[int(np.argmax(bad))]
-            return [int(d) for d in row] + hi_digits
-    return None
+    slope = d * a
+    tags = [0] * m
+
+    def walk(i: int, fixed: list[int], hi: int, lo: int) -> bool:
+        for v in range(max_tag + 1):
+            sums = [f + c[i] * v for f, c in zip(fixed, coef)]
+            top, bottom = max(hi, v), min(lo, v)
+            bound = min(s + r for s, r in zip(sums, room[i]))
+            if bound <= slope * (top - bottom):
+                continue
+            tags[i] = v
+            if i == 0 or walk(i - 1, sums, top, bottom):
+                return True
+        return False
+
+    return tags if walk(m - 1, [0] * len(coef), 0, max_tag) else None
 
 
 def _scan_tags_python(

@@ -391,6 +391,27 @@ def _best_ordering_total(
     return value[-1]
 
 
+def _tag_sides(
+    inst: RumInstance,
+    matrix: ChoiceMatrix,
+    tags: Sequence[int],
+    eps: object,
+) -> tuple[Fraction, list[int], Fraction, int]:
+    """Shared prelude of the two evaluators: the parsed slack, the tags,
+    the observed success total ``sum p0_i t_i`` (one integer sum over
+    the common denominator d) and the best-ordering total."""
+    tol = parse_rational(eps)
+    t = list(tags)
+    if len(t) != len(matrix.pairs):
+        raise InputError("tag vector length mismatch")
+    p0 = _p0_vector(inst, matrix)
+    d = math.lcm(*(p.denominator for p in p0))
+    lhs = Fraction(
+        sum(p.numerator * (d // p.denominator) * k for p, k in zip(p0, t)), d
+    )
+    return tol, t, lhs, _best_ordering_total(inst, matrix, t)
+
+
 def evaluate_arsp(
     inst: RumInstance,
     matrix: ChoiceMatrix,
@@ -402,13 +423,7 @@ def evaluate_arsp(
     The condition holds when lhs <= rhs for every tag vector.  The
     best-ordering total is a subset DP over the matrix's pairs, O(n^2 2^n)
     steps (``_best_ordering_total``), not a scan of its n! columns."""
-    tol = parse_rational(eps)
-    t = list(tags)
-    if len(t) != len(matrix.pairs):
-        raise InputError("tag vector length mismatch")
-    p0 = _p0_vector(inst, matrix)
-    lhs = sum((p0[i] * t[i] for i in range(len(t))), _ZERO)
-    best = _best_ordering_total(inst, matrix, t)
+    tol, t, lhs, best = _tag_sides(inst, matrix, tags, eps)
     width = max(t) - min(t)
     rhs = best + Fraction(width) * tol / 2
     return lhs, rhs
@@ -424,13 +439,7 @@ def evaluate_arsp_star(
     ``(1 - eps) * best ordering + (2^n - 1) * eps * max tag``, with the
     best ordering found by the same O(n^2 2^n) subset DP as
     ``evaluate_arsp``."""
-    tol = parse_rational(eps)
-    t = list(tags)
-    if len(t) != len(matrix.pairs):
-        raise InputError("tag vector length mismatch")
-    p0 = _p0_vector(inst, matrix)
-    lhs = sum((p0[i] * t[i] for i in range(len(t))), _ZERO)
-    best = _best_ordering_total(inst, matrix, t)
+    tol, t, lhs, best = _tag_sides(inst, matrix, tags, eps)
     n_menus = (1 << len(inst.alternatives)) - 1
     rhs = (1 - tol) * best + n_menus * tol * max(t)
     return lhs, rhs

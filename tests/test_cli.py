@@ -4,11 +4,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from nrb import InternalCheckError, RumInstance, enumerate_menus
-from nrb.cli import EXIT_INTERNAL, main
+from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
 
 NIELSEN_CREDAL = {
     "kind": "credal",
@@ -448,3 +449,32 @@ def test_console_entry_point(credal_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "2/3"
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from nrb import exhaustive_rum_check
+from nrb.cli import main
+from tests.conftest import _warp_cycle_instance
+hit = exhaustive_rum_check(_warp_cycle_instance(), 1, max_tag=1)
+print("".join(map(str, hit.tags)))
+sys.exit(main(["verify", "exhaustive-rum", sys.argv[1],
+               "--eps", "1", "--max-tag", "1"]))
+"""
+
+
+def test_runs_without_numpy(warp_path):
+    """The package has no runtime dependency: with numpy unimportable,
+    the exhaustive oracle and its CLI command still find the reversal."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, warp_path],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).resolve().parents[1],
+    )
+    tags, _, report = proc.stdout.partition("\n")
+    assert tags == "000010000100", proc.stderr
+    assert proc.returncode == EXIT_VIOLATED
+    certificate = json.loads(report)["certificate"]
+    assert certificate["tags"] == {"2|1,2": 1, "1|1,2,3": 1}

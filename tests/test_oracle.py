@@ -199,6 +199,53 @@ def test_scan_backends_agree(warp_cycle):
     assert tuple(slow) == fast.tags
     assert _scan_tags_python(p0, rows, 2, total, F(2)) is None
 
+    rng = random.Random(31)
+    cases = [
+        (inst, eps, max_tag)
+        for n in (1, 2)
+        for inst in (random_rum(rng, n), random_rum(rng, n))
+        for max_tag in range(4)
+        for eps in (F(0), F(1, 2))
+    ]
+    # denominators near 3**40: the cleared coefficients pass 2**62
+    tame = instance_from_mixture(("1", "2", "3"), (F(1, 6),) * 6)
+    big = _blend(warp_cycle, tame, F(1, 3**40))
+    assert max(p.denominator for p in big.choice.values()) > 2**62
+    cases += [(big, F(1), 1), (big, 2 - F(1, 5**30), 1)]
+    for inst in (warp_cycle, random_rum(rng, 3), random_rum(rng, 3)):
+        cases += [(inst, F(0), 1), (inst, F(1, 2), 1)]
+    # two tables whose first hits come early in the plain loop; a full
+    # plain scan at max_tag 2 takes tens of seconds
+    for seed in (1, 6):
+        cases.append((random_rum(random.Random(seed), 3), F(1), 2))
+    hits = 0
+    for inst, eps, max_tag in cases:
+        fast = exhaustive_rum_check(inst, eps, max_tag)
+        slow = _reference_first_hit(inst, eps, max_tag)
+        assert (None if fast is None else fast.tags) == slow
+        hits += slow is not None
+    assert hits >= 6
+
+
+def _reference_first_hit(inst, eps, max_tag):
+    pairs = inst.pairs()
+    p0 = [inst.probability(y, menu) for y, menu in pairs]
+    base = max_tag + 1
+    hit = _scan_tags_python(
+        p0, _best_choice_table(inst), base, base ** len(pairs), eps
+    )
+    return None if hit is None else tuple(hit)
+
+
+def _blend(inst, other, theta):
+    return RumInstance(
+        alternatives=inst.alternatives,
+        choice={
+            key: (1 - theta) * inst.choice[key] + theta * other.choice[key]
+            for key in inst.choice
+        },
+    )
+
 
 # ---------------------------------------------------------------------------
 # active-set enumeration against the simplex solver
