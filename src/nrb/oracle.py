@@ -275,10 +275,11 @@ def _scan_tags(
     violates exactly when ``min_j sum_i c[j][i] t_i > d a (max t - min
     t)`` with ``c[j][i] = 2b (d p0_i - d A_ji)``.  Digit m-1 is fixed
     first and digit 0 last, each in ascending order, which is the
-    enumeration order.  A child is skipped when even the largest sum
-    the free digits can add, ``room``, leaves every ordering at or below
-    the slack of the width the fixed digits already span: no vector
-    below it violates, so the first vector reached is the first hit."""
+    enumeration order.  A child is skipped when, even with the largest
+    sums the free digits can add (``room``), some ordering stays at or
+    below the slack of the width the fixed digits already span: no
+    vector below it violates, so the first vector reached is the first
+    hit."""
     m = len(p0)
     d = math.lcm(*(v.denominator for v in p0))
     a, b = eps.numerator, eps.denominator
@@ -307,6 +308,7 @@ def _scan_tags(
                 return True
         return False
 
+    # hi = 0 and lo = max_tag give the first fixed digit a width of 0
     return tags if walk(m - 1, [0] * len(coef), 0, max_tag) else None
 
 
