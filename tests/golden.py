@@ -1,6 +1,7 @@
-"""Golden outputs: CLI reports and full ``LpSolution`` records pinned
-byte for byte, so that a change to the solver's arithmetic cannot move
-a pivot, a vertex, a dual or a certificate unnoticed.
+"""Golden outputs: CLI reports, the whole stdout of text and batch runs,
+and full ``LpSolution`` records pinned byte for byte, so that a change
+to the solver's arithmetic or the CLI's rendering cannot move a pivot, a
+vertex, a dual, a certificate or a line of output unnoticed.
 
 The instances are the suite's worked fixtures; the programs are the 60
 drawn by ``_random_boxed_lp(random.Random(20240817))``.  Regenerate the
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -67,6 +69,23 @@ CASES = (
 )
 
 
+# Whole-stdout pins for the renderings the report records above do not
+# cover: text output with and without a headline, and batch runs in
+# both formats over a list that names a missing file.
+STDOUT_CASES = (
+    ["--format", "text", "pool", "min-eps", "pool.json"],
+    ["--format", "text", "distance", "credal.json"],
+    ["--batch", "batch.txt", "distance"],
+    ["--format", "text", "--batch", "batch.txt", "distance"],
+    ["--format", "text", "--batch", "batch.txt", "pool", "min-eps"],
+)
+BATCH_LIST = (
+    "# one good, one missing, one of the wrong kind\n"
+    "credal.json\n\ngone.json\npool.json\n"
+)
+_TIMING_LINE = re.compile(r'^(?:\s*"timing_ms": \d+|timing_ms: \d+)\n', re.M)
+
+
 def documents() -> dict[str, dict]:
     return {
         "credal.json": NIELSEN_CREDAL,
@@ -76,25 +95,45 @@ def documents() -> dict[str, dict]:
     }
 
 
-def run_cases(workdir: Path) -> list[dict]:
-    """Run every case with *workdir* as the working directory and return
-    ``{"argv", "exit", "report"}`` records, ``timing_ms`` removed."""
+def _run_in(workdir: Path, cases) -> list[tuple[list[str], int, str]]:
+    """Run each argv with *workdir* as the working directory, after
+    writing the instance documents and the batch list there, and return
+    ``(argv, exit code, stdout)`` triples."""
     for name, doc in documents().items():
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
-    records = []
+    (workdir / "batch.txt").write_text(BATCH_LIST, encoding="utf-8")
+    runs = []
     here = os.getcwd()
     os.chdir(workdir)
     try:
-        for argv in CASES:
+        for argv in cases:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(list(argv))
-            report = json.loads(out.getvalue())
-            del report["timing_ms"]
-            records.append({"argv": list(argv), "exit": code, "report": report})
+            runs.append((list(argv), code, out.getvalue()))
     finally:
         os.chdir(here)
+    return runs
+
+
+def run_cases(workdir: Path) -> list[dict]:
+    """Run every case with *workdir* as the working directory and return
+    ``{"argv", "exit", "report"}`` records, ``timing_ms`` removed."""
+    records = []
+    for argv, code, out in _run_in(workdir, CASES):
+        report = json.loads(out)
+        del report["timing_ms"]
+        records.append({"argv": argv, "exit": code, "report": report})
     return records
+
+
+def run_stdout_cases(workdir: Path) -> list[dict]:
+    """``{"argv", "exit", "stdout"}`` records of ``STDOUT_CASES``, the
+    stdout exact apart from its ``timing_ms`` lines, which are dropped."""
+    return [
+        {"argv": argv, "exit": code, "stdout": _TIMING_LINE.sub("", out)}
+        for argv, code, out in _run_in(workdir, STDOUT_CASES)
+    ]
 
 
 def _vector(values):
@@ -123,7 +162,12 @@ def lp_records() -> list[dict]:
 def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         reports = run_cases(Path(tmp))
-    data = {"reports": reports, "lp_solutions": lp_records()}
+        stdout = run_stdout_cases(Path(tmp))
+    data = {
+        "reports": reports,
+        "lp_solutions": lp_records(),
+        "stdout": stdout,
+    }
     DATA.write_text(
         json.dumps(data, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 from nrb import (
+    RumInstance,
     bm_negative_norm,
     bm_polynomials,
     build_matrix,
@@ -11,7 +12,71 @@ from nrb import (
     instance_from_mixture,
     rum_min_eps,
 )
-from tests.conftest import random_rationalizable_rum, random_rum
+from tests.conftest import (
+    _sized_menu_instance,
+    _warp_cycle_instance,
+    random_rationalizable_rum,
+    random_rum,
+)
+
+
+def _bm_reference(inst):
+    """The alternating superset sums by the signed loop over every
+    subset of each menu's complement, kept as the test reference."""
+    alts = inst.alternatives
+    full = (1 << len(alts)) - 1
+    index = {a: i for i, a in enumerate(alts)}
+    prob = {}
+    for (y, menu), p in inst.choice.items():
+        mask = 0
+        for a in menu:
+            mask |= 1 << index[a]
+        prob[(index[y], mask)] = p
+    out = {}
+    for y, menu in inst.pairs():
+        mask = 0
+        for a in menu:
+            mask |= 1 << index[a]
+        rest = full & ~mask
+        total = F(0)
+        sub = rest
+        while True:
+            sign = -1 if bin(sub).count("1") % 2 else 1
+            total += sign * prob[(index[y], mask | sub)]
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        out[(y, menu)] = total
+    return out
+
+
+def _relabel(inst, names):
+    """*inst* with its alternatives renamed position by position."""
+    new = dict(zip(inst.alternatives, names))
+    return RumInstance(
+        alternatives=tuple(names),
+        choice={
+            (new[y], tuple(new[a] for a in menu)): p
+            for (y, menu), p in inst.choice.items()
+        },
+    )
+
+
+def test_polynomials_match_the_superset_loop():
+    """Same keys, key order and exact values as the reference loop, for
+    n = 1..6, with labels in and out of string order."""
+    rng = random.Random(2718)
+    names = ("z", "b", "10", "a", "2", "y")
+    cases = [_warp_cycle_instance(), _sized_menu_instance()]
+    for n in range(1, 7):
+        for _ in range(3):
+            inst = random_rum(rng, n, denom=rng.choice((1, 7, 20, 36)))
+            cases += [inst, _relabel(inst, names[:n])]
+        cases.append(random_rationalizable_rum(rng, min(n, 4)))
+    for inst in cases:
+        got, want = bm_polynomials(inst), _bm_reference(inst)
+        assert list(got.items()) == list(want.items()), inst.alternatives
+        assert all(type(v) is F for v in got.values())
 
 
 def test_warp_cycle_polynomials(warp_cycle):

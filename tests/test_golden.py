@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from .golden import CASES, DATA, lp_records, run_cases
+from .golden import (
+    CASES,
+    DATA,
+    STDOUT_CASES,
+    lp_records,
+    run_cases,
+    run_stdout_cases,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,3 +32,11 @@ def test_cli_reports_match_recorded_bytes(tmp_path, golden):
 
 def test_lp_solutions_match_recorded_bytes(golden):
     assert _lines(lp_records()) == _lines(golden["lp_solutions"])
+
+
+def test_cli_stdout_matches_recorded_bytes(tmp_path, golden):
+    """Text renderings and batch runs, pinned as whole stdout."""
+    assert [r["argv"] for r in golden["stdout"]] == [
+        list(a) for a in STDOUT_CASES
+    ]
+    assert run_stdout_cases(tmp_path) == golden["stdout"]
