@@ -9,8 +9,10 @@ Falmagne's theorem says the choice function is a mixture of ordering
 maximizers exactly when every ``K(y, Y)`` is nonnegative; the values
 are then the mixture's marginals "y is best in Y, beaten by the rest".
 Summing the negative parts gives a cheap lower-bound diagnostic for how
-non-rationalizable a choice function is.  The sums and their negative
-mass are polynomial in the number of menus and take no alternative cap.
+non-rationalizable a choice function is.  The n 2^(n-1) sums come from
+one superset Moebius transform per alternative over the 2^n menu
+bitmasks, O(n 2^n) integer additions each and O(n^2 2^n) in all; they
+and their negative mass take no alternative cap.
 ``hoffman_ratio`` is not: on a non-rationalizable table it solves the
 additive program ``rum_min_eps`` over all n! orderings, so it refuses
 tables beyond the RUM alternative cap and grows factorially below it.
@@ -21,7 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .rum import RumInstance, rum_min_eps
+from .rum import RumInstance, _bits, rum_min_eps
+from .simplex import _int_row
 
 __all__ = [
     "bm_polynomials",
@@ -35,35 +38,27 @@ _ZERO = Fraction(0)
 def bm_polynomials(
     inst: RumInstance,
 ) -> dict[tuple[str, tuple[str, ...]], Fraction]:
-    """Alternating superset sums, keyed like the choice table."""
-    alts = inst.alternatives
-    n = len(alts)
-    full = (1 << n) - 1
-    # choice probabilities indexed by (alternative index, menu mask)
-    prob: dict[tuple[int, int], Fraction] = {}
-    index = {a: i for i, a in enumerate(alts)}
-    for (y, menu), p in inst.choice.items():
-        mask = 0
-        for a in menu:
-            mask |= 1 << index[a]
-        prob[(index[y], mask)] = p
-    out: dict[tuple[str, tuple[str, ...]], Fraction] = {}
-    for y, menu in inst.pairs():
-        mask = 0
-        for a in menu:
-            mask |= 1 << index[a]
-        rest = full & ~mask
-        total = _ZERO
-        # iterate the subsets of the complement, including the empty one
-        sub = rest
-        while True:
-            sign = -1 if bin(sub).count("1") % 2 else 1
-            total += sign * prob[(index[y], mask | sub)]
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        out[(y, menu)] = total
-    return out
+    """Alternating superset sums, keyed like the choice table.  Each
+    alternative's choice probabilities, as integers over one common
+    denominator and indexed by menu bitmask, go through a superset
+    Moebius transform: n passes of 2^n integer subtractions."""
+    bit = _bits(inst)
+    size = 1 << len(bit)
+    pairs = inst.pairs()
+    masks = [sum(map(bit.__getitem__, menu)) for _, menu in pairs]
+    nums, den = _int_row([inst.choice[pair] for pair in pairs])
+    k = {a: [0] * size for a in bit}
+    for (y, _), mask, num in zip(pairs, masks, nums):
+        k[y][mask] = num
+    for row in k.values():
+        for b in bit.values():
+            for r in range(size):
+                if not r & b:
+                    row[r] -= row[r | b]
+    return {
+        (y, menu): Fraction(k[y][mask], den)
+        for (y, menu), mask in zip(pairs, masks)
+    }
 
 
 def bm_negative_norm(inst: RumInstance) -> Fraction:

@@ -5,7 +5,8 @@ library, and prints a report with any certificate re-verified from the
 serialized numbers before it is emitted.  Exit codes: 0 for a computed
 value or a condition that holds, 1 for a violated condition (with
 certificate), 2 for input problems, 3 for refused oversized inputs, 4
-for an exact self-check that failed (a defect, never an input problem).
+for an exact self-check that failed or any unexpected exception (a
+defect, never an input problem).  No failure exits 1.
 
 Reports are deterministic byte for byte apart from the timing field.
 All rationals appear as strings; scalar fields carry a sibling
@@ -39,6 +40,7 @@ from .measures import (
     oscillation,
     point_space_from_json,
     prob_vector_from_json,
+    vector_to_json,
 )
 from .oracle import GridSpec, exhaustive_rum_check, grid_max_gap, vertex_distance
 from .pooling import (
@@ -73,16 +75,8 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-def _fmt(value: Fraction) -> str:
-    return format_rational(value)
-
-
-def _vec(values) -> list[str]:
-    return [_fmt(v) for v in values]
-
-
 def _put_scalar(body: dict, key: str, value: Fraction) -> None:
-    body[key] = _fmt(value)
+    body[key] = format_rational(value)
     body[key + "_approx"] = decimal_approx(value)
 
 
@@ -99,6 +93,8 @@ def _load_document(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # e.g. an integer past the digit limit
         raise InputError(f"{path} cannot be read: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     return doc
@@ -110,13 +106,20 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _check_kind(doc: dict, kind: str) -> str:
+    """Refuse a document of another kind; return the name that later
+    error messages use for it."""
+    found = _require(doc, "kind", "instance")
+    if found != kind:
+        raise InputError(f"expected a {kind} instance, got kind {found!r}")
+    return f"{kind} instance"
+
+
 def _parse_credal(doc: dict) -> tuple[CredalSet, CredalSet]:
-    kind = _require(doc, "kind", "instance")
-    if kind != "credal":
-        raise InputError(f"expected a credal instance, got kind {kind!r}")
-    space = point_space_from_json(_require(doc, "space", "credal instance"))
+    where = _check_kind(doc, "credal")
+    space = point_space_from_json(_require(doc, "space", where))
     def side(name: str) -> CredalSet:
-        rows = _require(doc, name, "credal instance")
+        rows = _require(doc, name, where)
         if not isinstance(rows, list) or not rows:
             raise InputError(f"{name} must be a nonempty array of vectors")
         return CredalSet(
@@ -126,12 +129,10 @@ def _parse_credal(doc: dict) -> tuple[CredalSet, CredalSet]:
 
 
 def _parse_pooling(doc: dict) -> PoolingInstance:
-    kind = _require(doc, "kind", "instance")
-    if kind != "pooling":
-        raise InputError(f"expected a pooling instance, got kind {kind!r}")
-    space = point_space_from_json(_require(doc, "space", "pooling instance"))
-    planner = prob_vector_from_json(space, _require(doc, "P", "pooling instance"))
-    rows = _require(doc, "Q", "pooling instance")
+    where = _check_kind(doc, "pooling")
+    space = point_space_from_json(_require(doc, "space", where))
+    planner = prob_vector_from_json(space, _require(doc, "P", where))
+    rows = _require(doc, "Q", where)
     if not isinstance(rows, list) or not rows:
         raise InputError("Q must be a nonempty array of vectors")
     opinions = CredalSet(
@@ -141,13 +142,11 @@ def _parse_pooling(doc: dict) -> PoolingInstance:
 
 
 def _parse_rum(doc: dict) -> RumInstance:
-    kind = _require(doc, "kind", "instance")
-    if kind != "rum":
-        raise InputError(f"expected a rum instance, got kind {kind!r}")
-    alts = _require(doc, "alternatives", "rum instance")
+    where = _check_kind(doc, "rum")
+    alts = _require(doc, "alternatives", where)
     if not isinstance(alts, list) or not all(isinstance(a, str) for a in alts):
         raise InputError("alternatives must be an array of strings")
-    raw = _require(doc, "choice", "rum instance")
+    raw = _require(doc, "choice", where)
     if not isinstance(raw, dict):
         raise InputError("choice must be an object keyed 'y|menu'")
     table = {}
@@ -173,14 +172,15 @@ def _ordering_key(ordering: tuple[str, ...]) -> str:
 
 
 def _pool_representation(report: PoolingReport) -> dict:
-    rep: dict = {"kind": report.kind, "weights": _vec(report.weights)}
+    rep: dict = {"kind": report.kind}
+    rep["weights"] = vector_to_json(report.weights)
     if report.error is not None:
-        rep["error"] = _vec(report.error.weights)
+        rep["error"] = vector_to_json(report.error.weights)
     if report.residual is not None:
-        rep["residual"] = _vec(report.residual.weights)
+        rep["residual"] = vector_to_json(report.residual.weights)
     if report.sum_constrained is not None:
         rep["sum_constrained"] = report.sum_constrained
-        rep["weight_sum"] = _fmt(sum(report.weights, Fraction(0)))
+        rep["weight_sum"] = format_rational(sum(report.weights, Fraction(0)))
     return rep
 
 
@@ -188,19 +188,19 @@ def _rum_representation(inst: RumInstance, report: RumReport) -> dict:
     rep: dict = {"kind": report.kind}
     if report.pi is not None:
         rep["pi"] = {
-            _ordering_key(o): _fmt(w)
+            _ordering_key(o): format_rational(w)
             for o, w in zip(enumerate_orderings(inst.alternatives), report.pi)
             if w != 0
         }
     if report.error is not None:
         rep["error"] = {
-            _pair_key(y, menu): _fmt(e)
+            _pair_key(y, menu): format_rational(e)
             for (y, menu), e in zip(inst.pairs(), report.error)
             if e != 0
         }
     if report.residual is not None:
         rep["residual"] = {
-            _pair_key(y, menu): _fmt(r)
+            _pair_key(y, menu): format_rational(r)
             for (y, menu), r in zip(inst.pairs(), report.residual)
             if r != 0
         }
@@ -220,8 +220,8 @@ def _tag_certificate(inst: RumInstance, matrix, cert, eps, star: bool) -> dict:
             if t
         },
         "width": cert.width,
-        "lhs": _fmt(lhs),
-        "rhs": _fmt(rhs),
+        "lhs": format_rational(lhs),
+        "rhs": format_rational(rhs),
         "verified": True,
     }
 
@@ -251,10 +251,10 @@ def _pareto_certificate(
     if violation != witness.violation_amount or violation <= 0:
         raise InternalCheckError("witness violation fails re-verification")
     return {
-        "f": _vec(f.values),
-        "g": _vec(g.values),
-        "premise_margins": _vec(witness.premise_margins),
-        "violation": _fmt(witness.violation_amount),
+        "f": vector_to_json(f.values),
+        "g": vector_to_json(g.values),
+        "premise_margins": vector_to_json(witness.premise_margins),
+        "violation": format_rational(witness.violation_amount),
         "verified": True,
     }
 
@@ -265,9 +265,9 @@ def _cmd_distance(args, doc: dict) -> tuple[dict, int]:
     body: dict = {"verdict": "value"}
     _put_scalar(body, "value", res.value)
     body["representation"] = {
-        "p_weights": _vec(res.p_weights),
-        "q_weights": _vec(res.q_weights),
-        "stakes": _vec(res.stakes.values),
+        "p_weights": vector_to_json(res.p_weights),
+        "q_weights": vector_to_json(res.q_weights),
+        "stakes": vector_to_json(res.stakes.values),
         "verified": True,
     }
     return body, EXIT_OK
@@ -282,8 +282,8 @@ def _cmd_gordan(args, doc: dict) -> tuple[dict, int]:
         body["verdict"] = "holds"
         _put_scalar(body, "value", outcome.distance)
         body["representation"] = {
-            "p_weights": _vec(outcome.p_weights),
-            "q_weights": _vec(outcome.q_weights),
+            "p_weights": vector_to_json(outcome.p_weights),
+            "q_weights": vector_to_json(outcome.q_weights),
         }
         return body, EXIT_OK
     assert isinstance(outcome, Separation)
@@ -293,8 +293,8 @@ def _cmd_gordan(args, doc: dict) -> tuple[dict, int]:
     body["verdict"] = "violated"
     _put_scalar(body, "value", outcome.gap)
     body["certificate"] = {
-        "stakes": _vec(outcome.stakes.values),
-        "gap": _fmt(outcome.gap),
+        "stakes": vector_to_json(outcome.stakes.values),
+        "gap": format_rational(outcome.gap),
         "verified": True,
     }
     return body, EXIT_VIOLATED
@@ -337,39 +337,18 @@ def _cmd_pool_check(args, doc: dict) -> tuple[dict, int]:
             inst.planner, inst.opinions, eps
         )
         events = {"E1": list(e1), "E2": list(e2)}
-        if required <= eps:
-            body["verdict"] = "holds"
-            _put_scalar(body, "epsilon_min", required)
-            body["representation"] = {
-                "epsilon_required": _fmt(required),
-                "worst_events": events,
-            }
-            return body, EXIT_OK
-        body["verdict"] = "violated"
-        _put_scalar(body, "epsilon_min", required)
-        body["certificate"] = {
-            "epsilon_required": _fmt(required),
-            "events": events,
-            "verified": True,
-        }
-        return body, EXIT_VIOLATED
-    assert args.condition == "minmax"
-    required, _, event = check_event_minmax(inst.planner, inst.opinions)
-    if required <= eps:
-        body["verdict"] = "holds"
-        _put_scalar(body, "epsilon_min", required)
-        body["representation"] = {
-            "epsilon_required": _fmt(required),
-            "worst_event": list(event),
-        }
-        return body, EXIT_OK
-    body["verdict"] = "violated"
+        keys = ("worst_events", "events")
+    else:
+        required, _, event = check_event_minmax(inst.planner, inst.opinions)
+        events, keys = list(event), ("worst_event", "event")
+    holds = required <= eps
+    body["verdict"] = "holds" if holds else "violated"
     _put_scalar(body, "epsilon_min", required)
-    body["certificate"] = {
-        "epsilon_required": _fmt(required),
-        "event": list(event),
-        "verified": True,
-    }
+    evidence = {"epsilon_required": format_rational(required)}
+    if holds:
+        body["representation"] = {**evidence, keys[0]: events}
+        return body, EXIT_OK
+    body["certificate"] = {**evidence, keys[1]: events, "verified": True}
     return body, EXIT_VIOLATED
 
 
@@ -409,10 +388,11 @@ def _cmd_rum_bm(args, doc: dict) -> tuple[dict, int]:
     _put_scalar(body, "value", norm)
     body["representation"] = {
         "bm": {
-            _pair_key(y, menu): _fmt(v) for (y, menu), v in polys.items()
+            _pair_key(y, menu): format_rational(v)
+            for (y, menu), v in polys.items()
         },
-        "negative_norm": _fmt(norm),
-        "hoffman_ratio": None if ratio is None else _fmt(ratio),
+        "negative_norm": format_rational(norm),
+        "hoffman_ratio": None if ratio is None else format_rational(ratio),
     }
     return body, EXIT_OK
 
@@ -486,18 +466,6 @@ def _headline(report: dict) -> Optional[str]:
     return None
 
 
-_HANDLERS = {
-    ("distance",): (_cmd_distance, "credal"),
-    ("gordan",): (_cmd_gordan, "credal"),
-    ("pool", "min-eps"): (_cmd_pool_min_eps, "pooling"),
-    ("pool", "check"): (_cmd_pool_check, "pooling"),
-    ("rum", "min-eps"): (_cmd_rum_min_eps, "rum"),
-    ("rum", "check"): (_cmd_rum_check, "rum"),
-    ("rum", "bm"): (_cmd_rum_bm, "rum"),
-    ("verify",): (_cmd_verify, None),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nrb",
@@ -520,19 +488,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance(p):
+    def add_instance(p, handler):
         p.add_argument(
             "instance",
             nargs="?",
             help="instance JSON path, or - for stdin (omit with --batch)",
         )
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("distance", help="minimum L1 distance between credal sets")
-    add_instance(p)
+    add_instance(p, _cmd_distance)
 
     p = sub.add_parser("gordan", help="separation or proximity at a tolerance")
     p.add_argument("--eps", required=True)
-    add_instance(p)
+    add_instance(p, _cmd_gordan)
 
     pool = sub.add_parser("pool", help="opinion pooling")
     pool_sub = pool.add_subparsers(dest="pool_command", required=True)
@@ -541,25 +510,25 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--genest", action="store_true")
     group.add_argument("--normalized", action="store_true")
     group.add_argument("--free", action="store_true")
-    add_instance(p)
+    add_instance(p, _cmd_pool_min_eps)
     p = pool_sub.add_parser("check", help="test a pooling condition")
     p.add_argument(
         "--condition", required=True, choices=("c", "cstar", "cm", "minmax")
     )
     p.add_argument("--eps", required=True)
-    add_instance(p)
+    add_instance(p, _cmd_pool_check)
 
     rum = sub.add_parser("rum", help="stochastic choice rationality")
     rum_sub = rum.add_subparsers(dest="rum_command", required=True)
     p = rum_sub.add_parser("min-eps", help="least rationalizability error")
     p.add_argument("--residual", action="store_true")
-    add_instance(p)
+    add_instance(p, _cmd_rum_min_eps)
     p = rum_sub.add_parser("check", help="tagged-trials test at a level")
     p.add_argument("--eps", required=True)
     p.add_argument("--star", action="store_true")
-    add_instance(p)
+    add_instance(p, _cmd_rum_check)
     p = rum_sub.add_parser("bm", help="inclusion-exclusion diagnostics")
-    add_instance(p)
+    add_instance(p, _cmd_rum_bm)
 
     p = sub.add_parser("verify", help="brute-force oracle reproductions")
     p.add_argument(
@@ -568,26 +537,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int)
     p.add_argument("--eps")
     p.add_argument("--max-tag", type=int, dest="max_tag")
-    add_instance(p)
+    add_instance(p, _cmd_verify)
 
     return parser
 
 
-def _handler_for(args) -> tuple:
-    key: tuple = (args.command,)
-    if args.command == "pool":
-        key = ("pool", args.pool_command)
-    elif args.command == "rum":
-        key = ("rum", args.rum_command)
-    return _HANDLERS[key]
-
-
-def _run_one(args, handler, path: str, echo: list[str]) -> tuple[dict, int]:
+def _run_one(args, path: str, echo: list[str]) -> tuple[dict, int]:
     start = time.perf_counter()
     report: dict = {"command": echo, "instance": path}
     try:
-        doc = _load_document(path)
-        body, code = handler(args, doc)
+        body, code = args.handler(args, _load_document(path))
         report.update(body)
     except CapExceededError as exc:
         report["error"] = str(exc)
@@ -598,16 +557,17 @@ def _run_one(args, handler, path: str, echo: list[str]) -> tuple[dict, int]:
     except NrbError as exc:
         report["error"] = str(exc)
         code = EXIT_INPUT
+    except Exception as exc:  # a defect: report it, never exit 1
+        report["error"] = f"unexpected {type(exc).__name__}: {exc}"
+        code = EXIT_INTERNAL
     report["timing_ms"] = int((time.perf_counter() - start) * 1000)
     return report, code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler, _ = _handler_for(args)
-
+    args = _build_parser().parse_args(argv)
+    paths = [args.instance if args.instance is not None else "-"]
     if args.batch:
         try:
             with open(args.batch, "r", encoding="utf-8") as fh:
@@ -616,39 +576,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     for line in fh
                     if line.strip() and not line.strip().startswith("#")
                 ]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read batch list: {exc}", file=sys.stderr)
             return EXIT_INPUT
         if args.instance is not None:
             print("--batch replaces the instance argument", file=sys.stderr)
             return EXIT_INPUT
-        reports = []
-        worst = EXIT_OK
-        for path in paths:
-            report, code = _run_one(args, handler, path, argv)
-            reports.append(report)
-            worst = max(worst, code)
-        if args.format == "json":
-            print(json.dumps(reports, indent=2, ensure_ascii=False))
-        else:
-            for report in reports:
-                head = _headline(report)
-                if head:
-                    sys.stdout.write(head + "\n")
-                _render_text(report, sys.stdout)
-                sys.stdout.write("\n")
-        return worst
-
-    path = args.instance if args.instance is not None else "-"
-    report, code = _run_one(args, handler, path, argv)
+    runs = [_run_one(args, path, argv) for path in paths]
+    reports = [report for report, _ in runs]
     if args.format == "json":
-        print(json.dumps(report, indent=2, ensure_ascii=False))
+        shown = reports if args.batch else reports[0]
+        print(json.dumps(shown, indent=2, ensure_ascii=False))
     else:
-        head = _headline(report)
-        if head:
-            sys.stdout.write(head + "\n")
-        _render_text(report, sys.stdout)
-    return code
+        for report in reports:
+            head = _headline(report)
+            if head:
+                sys.stdout.write(head + "\n")
+            _render_text(report, sys.stdout)
+            if args.batch:
+                sys.stdout.write("\n")
+    return max((code for _, code in runs), default=EXIT_OK)
 
 
 if __name__ == "__main__":  # pragma: no cover

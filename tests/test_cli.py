@@ -360,6 +360,68 @@ def test_oversized_integer_is_an_input_error(capsys, tmp_path, credal_path):
     assert reports[1]["value"] == "2/3"
 
 
+def test_deeply_nested_document_is_an_input_error(capsys, tmp_path):
+    """JSON nested past the decoder's recursion limit is bad input: exit
+    2 with an error field, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, report = _capture_json(capsys, ["distance", str(deep)])
+    assert code == 2
+    assert "nested too deeply" in report["error"]
+    assert capsys.readouterr().err == ""
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch, credal_path):
+    import nrb.cli
+
+    def crash(p_set, q_set):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr(nrb.cli, "min_set_distance", crash)
+    code, report = _capture_json(capsys, ["distance", credal_path])
+    assert code == EXIT_INTERNAL == 4
+    assert report["error"] == "unexpected RuntimeError: simulated crash"
+    assert "value" not in report
+
+
+def test_batch_continues_after_a_crash(
+    capsys, monkeypatch, tmp_path, credal_path
+):
+    """A crash on one path is that path's exit 4; the batch goes on to
+    the next path and the worst code is 4."""
+    import nrb.cli
+
+    real = nrb.cli.min_set_distance
+    calls = []
+
+    def crash_once(p_set, q_set):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("simulated crash")
+        return real(p_set, q_set)
+
+    monkeypatch.setattr(nrb.cli, "min_set_distance", crash_once)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    listfile = tmp_path / "batch.txt"
+    listfile.write_text(f"{credal_path}\n{deep}\n{credal_path}\n")
+    code, reports = _capture_json(
+        capsys, ["--batch", str(listfile), "distance"]
+    )
+    assert code == 4
+    assert [r.get("value") for r in reports] == [None, None, "2/3"]
+    assert "RuntimeError" in reports[0]["error"]
+    assert "nested too deeply" in reports[1]["error"]
+
+
+
+def test_undecodable_batch_list_is_an_input_error(capsys, tmp_path):
+    listfile = tmp_path / "batch.txt"
+    listfile.write_bytes(b"\xff\xfe\n")
+    assert main(["--batch", str(listfile), "distance"]) == 2
+    assert "cannot read batch list" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(capsys, credal_path):
     _, first = _capture_json(capsys, ["distance", credal_path])
     _, second = _capture_json(capsys, ["distance", credal_path])
