@@ -41,7 +41,7 @@ def bm_polynomials(
     """Alternating superset sums, keyed like the choice table.  Each
     alternative's choice probabilities, as integers over one common
     denominator and indexed by menu bitmask, go through a superset
-    Moebius transform: n passes of 2^n integer subtractions."""
+    Moebius transform: one pass per alternative bit over the 2^n masks."""
     bit = _bits(inst)
     size = 1 << len(bit)
     pairs = inst.pairs()
