@@ -26,6 +26,7 @@ from nrb import (
     instance_from_mixture,
     max_alternatives,
     min_set_distance,
+    parse_rational,
     rum_min_eps,
     rum_residual_min_eps,
 )
@@ -434,6 +435,179 @@ def test_unknown_and_duplicate_entries_rejected():
         )
     with pytest.raises(InputError):
         RumInstance(alternatives=("1",), choice={("1", ("1",)): 0.5})
+
+
+def _validate_reference(alternatives, choice):
+    """The key-by-key validator that ``RumInstance`` ran before its
+    one-pass rewrite, kept as the test reference: returns the
+    alternatives and the canonical table, or raises what it raised."""
+    alts = tuple(str(a) for a in alternatives)
+    if not alts:
+        raise InputError("need at least one alternative")
+    if len(set(alts)) != len(alts):
+        raise InputError("alternatives must be distinct")
+    order = {a: i for i, a in enumerate(alts)}
+    table = {}
+    for key, value in dict(choice).items():
+        try:
+            y, menu = key
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad choice key {key!r}") from exc
+        menu = tuple(menu)
+        if any(a not in order for a in menu) or y not in order:
+            raise InputError(f"unknown alternative in {key!r}")
+        if len(set(menu)) != len(menu):
+            raise InputError(f"menu {menu!r} repeats an alternative")
+        canon = tuple(sorted(menu, key=order.__getitem__))
+        if y not in canon:
+            raise InputError(f"{y!r} is not on the menu {menu!r}")
+        prob = parse_rational(value)
+        if prob < 0:
+            raise InputError(f"negative probability at {key!r}")
+        if (y, canon) in table:
+            raise InputError(f"duplicate entry for {(y, canon)!r}")
+        table[(y, canon)] = prob
+    missing = []
+    for menu in enumerate_menus(alts):
+        total = F(0)
+        for y in menu:
+            if (y, menu) not in table:
+                missing.append((y, menu))
+            else:
+                total += table[(y, menu)]
+        if not missing and total != 1:
+            raise InputError(
+                f"choice probabilities on menu {menu!r} sum to {total}"
+            )
+    if missing:
+        raise InputError(f"missing choice entries: {missing}")
+    expected = sum(len(menu) for menu in enumerate_menus(alts))
+    if len(table) != expected:
+        extras = set(table) - {
+            (y, m) for m in enumerate_menus(alts) for y in m
+        }
+        raise InputError(f"unexpected choice entries: {sorted(extras)}")
+    return alts, table
+
+
+def _outcome(validate):
+    """What a validator returned, or the type and message it raised."""
+    try:
+        alts, table = validate()
+    except Exception as exc:  # the comparison covers every exception
+        return type(exc), str(exc)
+    assert all(type(p) is F for p in table.values())
+    return alts, list(table.items())
+
+
+def _spell(draw, p):
+    """One accepted spelling of the probability *p*."""
+    spellings = ["str", "fraction", "unreduced", "padded"]
+    if p.denominator == 1:
+        spellings.append("int")
+    if 10**6 % p.denominator == 0:
+        spellings.append("decimal")
+    how = draw(st.sampled_from(spellings))
+    if how == "str":
+        return str(p)
+    if how == "fraction":
+        return p
+    if how == "unreduced":
+        k = draw(st.integers(2, 4))
+        return f"{p.numerator * k}/{p.denominator * k}"
+    if how == "padded":
+        return f" {p} "
+    if how == "int":
+        return int(p)
+    scaled = str(p.numerator * 10**6 // p.denominator).rjust(7, "0")
+    return f"{scaled[:-6]}.{scaled[-6:]}".rstrip("0").rstrip(".")
+
+
+_CORRUPTIONS = (
+    None, "drop", "negative", "sum", "duplicate", "unknown", "repeat",
+    "off-menu", "float", "not-a-pair",
+)
+_NOT_PAIRS = (7, None, "abc", "ab", "aa", ("a",), ("a", ("a",), 0),
+              ("a", 5))
+
+
+@st.composite
+def _choice_tables(draw):
+    """Alternatives and a list of (key, value) entries: a valid table
+    with its keys shuffled, menus permuted and values spelled several
+    ways, carrying at most one corruption."""
+    n = draw(st.integers(1, 4))
+    alts = tuple(draw(st.permutations(("a", "b", "c", "d")))[:n])
+    entries = []
+    for menu in enumerate_menus(alts):
+        denom = draw(st.sampled_from((1, 2, 3, 5, 12, 20)))
+        cuts = sorted(
+            draw(st.integers(0, denom)) for _ in range(len(menu) - 1)
+        )
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+        for y, part in zip(menu, parts):
+            given = tuple(draw(st.permutations(menu)))
+            entries.append([(y, given), _spell(draw, F(part, denom))])
+    entries = draw(st.permutations(entries))
+    corruption = draw(st.sampled_from(_CORRUPTIONS))
+    i = draw(st.integers(0, len(entries) - 1))
+    (y, menu), value = entries[i]
+    added = None
+    if corruption == "drop":
+        del entries[i]
+    elif corruption == "negative":
+        entries[i][1] = draw(st.sampled_from(("-1/3", F(-1, 2), -1, "-0.5")))
+    elif corruption == "sum":
+        entries[i][1] = parse_rational(value) + F(1, 7)
+    elif corruption == "duplicate" and len(menu) > 1:
+        added = ((y, menu[::-1]), value)
+    elif corruption == "unknown":
+        added = draw(st.sampled_from(
+            ((("z", menu), value), ((y, menu + ("z",)), value))
+        ))
+    elif corruption == "repeat":
+        added = ((y, menu + (y,)), value)
+    elif corruption == "off-menu" and len(menu) < n:
+        outside = next(a for a in alts if a not in menu)
+        added = ((outside, menu), value)
+    elif corruption == "float":
+        entries[i][1] = float(parse_rational(value))
+    elif corruption == "not-a-pair":
+        added = (draw(st.sampled_from(_NOT_PAIRS)), value)
+    if added is not None:
+        entries.insert(draw(st.integers(0, len(entries))), list(added))
+    return alts, [tuple(entry) for entry in entries]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_choice_tables())
+def test_validation_matches_reference(drawn):
+    """The constructor accepts and rejects exactly as the reference
+    does, with the same exception type and message, and keeps the
+    table in the same order with ``Fraction`` values."""
+    alts, entries = drawn
+
+    def built():
+        inst = RumInstance(alternatives=alts, choice=dict(entries))
+        return inst.alternatives, inst.choice
+
+    want = _outcome(lambda: _validate_reference(alts, dict(entries)))
+    assert _outcome(built) == want
+
+
+def test_validation_matches_reference_at_seven():
+    """A random n=7 table, given as ``Fraction`` values and as strings,
+    validates to the reference's table."""
+    base = random_rum(random.Random(3), 7)
+    for table in (
+        dict(base.choice),
+        {key: str(p) for key, p in base.choice.items()},
+    ):
+        inst = RumInstance(alternatives=base.alternatives, choice=table)
+        alts, want = _validate_reference(base.alternatives, table)
+        assert inst.alternatives == alts
+        assert list(inst.choice.items()) == list(want.items())
+        assert all(type(p) is F for p in inst.choice.values())
 
 
 def test_tag_vector_validation():
