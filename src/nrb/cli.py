@@ -16,6 +16,7 @@ All rationals appear as strings; scalar fields carry a sibling
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -466,7 +467,10 @@ def _headline(report: dict) -> Optional[str]:
     return None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call to ``main`` and kept
+    for the rest of the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="nrb",
         description=(

@@ -38,6 +38,8 @@ def parse_rational(value: object) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render as ``"a/b"`` (or ``"a"`` for integers), lowest terms."""
+    if type(value) is Fraction:
+        return str(value)
     return str(Fraction(value))
 
 

@@ -34,6 +34,11 @@ O(n^2 2^n) steps, with no scan of the n! columns.  ``ChoiceMatrix`` and
 the approximation programs are still n! columns wide, so the alternative
 count is capped (default 7, overridable via the ``NRB_MAX_ALTERNATIVES``
 environment variable or an explicit argument).
+
+``RumInstance`` validates a table in one pass over its keys, checking
+and sorting each distinct menu once and parsing each distinct
+probability string once, followed by one integer sum per menu over the
+lcm of that menu's denominators.
 """
 
 from __future__ import annotations
@@ -130,7 +135,8 @@ class RumInstance:
     alternative being chosen from that menu.  Menus are tuples in the
     order of ``alternatives``; the constructor canonicalizes and demands
     a complete table: every pair present, nothing extra, menu rows
-    summing to one.
+    summing to one.  It makes one pass over the keys, then one integer
+    sum per menu; the first check a table fails names the problem.
     """
 
     alternatives: tuple[str, ...]
@@ -144,6 +150,12 @@ class RumInstance:
             raise InputError("alternatives must be distinct")
         object.__setattr__(self, "alternatives", alts)
         order = {a: i for i, a in enumerate(alts)}
+        # menu as given -> its canonical order, once the menu has passed
+        # the unknown-alternative and repetition checks
+        canonical: dict[tuple, tuple[str, ...]] = {}
+        # only strings are memoised: other values go to parse_rational
+        # every time, so floats and unhashables fail as they always did
+        parsed: dict[str, Fraction] = {}
         table: dict[tuple[str, tuple[str, ...]], Fraction] = {}
         for key, value in dict(self.choice).items():
             try:
@@ -151,41 +163,53 @@ class RumInstance:
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad choice key {key!r}") from exc
             menu = tuple(menu)
-            if any(a not in order for a in menu) or y not in order:
-                raise InputError(f"unknown alternative in {key!r}")
-            if len(set(menu)) != len(menu):
-                raise InputError(f"menu {menu!r} repeats an alternative")
-            canon = tuple(sorted(menu, key=order.__getitem__))
+            canon = canonical.get(menu)
+            if canon is None:
+                if any(a not in order for a in menu) or y not in order:
+                    raise InputError(f"unknown alternative in {key!r}")
+                if len(set(menu)) != len(menu):
+                    raise InputError(f"menu {menu!r} repeats an alternative")
+                canon = tuple(sorted(menu, key=order.__getitem__))
+                canonical[menu] = canon
             if y not in canon:
+                if y not in order:
+                    raise InputError(f"unknown alternative in {key!r}")
                 raise InputError(f"{y!r} is not on the menu {menu!r}")
-            prob = parse_rational(value)
-            if prob < 0:
+            if type(value) is str:
+                prob = parsed.get(value)
+                if prob is None:
+                    prob = parsed[value] = parse_rational(value)
+            else:
+                prob = parse_rational(value)
+            if prob.numerator < 0:
                 raise InputError(f"negative probability at {key!r}")
             if (y, canon) in table:
                 raise InputError(f"duplicate entry for {(y, canon)!r}")
             table[(y, canon)] = prob
+        # The keys are now distinct canonical pairs, so the table is the
+        # full domain exactly when no pair is missing.  A menu's sum is
+        # checked in integers over the lcm of its denominators, and only
+        # while no earlier menu lacks a pair.
         missing = []
         for menu in enumerate_menus(alts):
-            total = _ZERO
-            for y in menu:
-                if (y, menu) not in table:
-                    missing.append((y, menu))
-                else:
-                    total += table[(y, menu)]
-            if not missing and total != 1:
-                raise InputError(
-                    f"choice probabilities on menu {menu!r} sum to {total}"
+            try:
+                probs = [table[y, menu] for y in menu]
+            except KeyError:
+                missing.extend(
+                    (y, menu) for y in menu if (y, menu) not in table
                 )
+                continue
+            if not missing:
+                common = math.lcm(*(p.denominator for p in probs))
+                total = sum(p.numerator * (common // p.denominator)
+                            for p in probs)
+                if total != common:
+                    raise InputError(
+                        f"choice probabilities on menu {menu!r} sum to "
+                        f"{Fraction(total, common)}"
+                    )
         if missing:
             raise InputError(f"missing choice entries: {missing}")
-        expected = sum(
-            len(menu) for menu in enumerate_menus(alts)
-        )
-        if len(table) != expected:
-            extras = set(table) - {
-                (y, m) for m in enumerate_menus(alts) for y in m
-            }
-            raise InputError(f"unexpected choice entries: {sorted(extras)}")
         object.__setattr__(self, "choice", table)
 
     @property

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from nrb import InternalCheckError, RumInstance, enumerate_menus
+from nrb import cli
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
 
 NIELSEN_CREDAL = {
@@ -428,6 +429,36 @@ def test_reports_are_deterministic(capsys, credal_path):
     first.pop("timing_ms")
     second.pop("timing_ms")
     assert first == second
+
+
+def test_cached_parser_carries_nothing_between_calls(
+    capsys, pool_path, warp_path
+):
+    """``main`` keeps one argument tree per process.  Runs with different
+    flags print what the same runs print on a freshly built tree, so no
+    parsed value carries over from one call to the next."""
+    from tests.golden import _TIMING_LINE  # golden imports this module
+
+    runs = (
+        ["--format", "text", "pool", "min-eps", "--genest", pool_path],
+        ["pool", "min-eps", pool_path],
+        ["rum", "bm", warp_path],
+    )
+
+    def outputs(fresh):
+        out = []
+        for argv in runs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, text = _capture(capsys, argv)
+            out.append((code, _TIMING_LINE.sub("", text)))
+        return out
+
+    cached = outputs(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert outputs(fresh=True) == cached
+    assert "genest" in cached[0][1] and "genest" not in cached[1][1]
+    assert cached[1][1].startswith("{")  # nor did --format text
 
 
 def test_rum_instance_round_trips_through_json(capsys, tmp_path, skewed_triples):

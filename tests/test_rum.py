@@ -525,7 +525,7 @@ def _spell(draw, p):
 
 _CORRUPTIONS = (
     None, "drop", "negative", "sum", "duplicate", "unknown", "repeat",
-    "off-menu", "float", "not-a-pair",
+    "off-menu", "float", "list", "not-a-pair",
 )
 _NOT_PAIRS = (7, None, "abc", "ab", "aa", ("a",), ("a", ("a",), 0),
               ("a", 5))
@@ -558,7 +558,8 @@ def _choice_tables(draw):
     elif corruption == "negative":
         entries[i][1] = draw(st.sampled_from(("-1/3", F(-1, 2), -1, "-0.5")))
     elif corruption == "sum":
-        entries[i][1] = parse_rational(value) + F(1, 7)
+        p = parse_rational(value)
+        entries[i][1] = draw(st.sampled_from((p + F(1, 7), p / 2, p * 0)))
     elif corruption == "duplicate" and len(menu) > 1:
         added = ((y, menu[::-1]), value)
     elif corruption == "unknown":
@@ -572,6 +573,8 @@ def _choice_tables(draw):
         added = ((outside, menu), value)
     elif corruption == "float":
         entries[i][1] = float(parse_rational(value))
+    elif corruption == "list":
+        entries[i][1] = [value]
     elif corruption == "not-a-pair":
         added = (draw(st.sampled_from(_NOT_PAIRS)), value)
     if added is not None:
@@ -593,6 +596,37 @@ def test_validation_matches_reference(drawn):
 
     want = _outcome(lambda: _validate_reference(alts, dict(entries)))
     assert _outcome(built) == want
+
+
+_PAIR_TABLE = {
+    ("a", ("a",)): 1, ("b", ("b",)): 1,
+    ("a", ("a", "b")): "1/2", ("b", ("a", "b")): "1/2",
+}
+
+
+@pytest.mark.parametrize("changes", [
+    # a menu lacking a pair hides a bad sum on a later menu
+    {("b", ("b",)): None, ("a", ("a", "b")): "1/3"},
+    # a bad sum on an earlier menu fires before a later missing pair
+    {("a", ("a",)): "2/3", ("b", ("a", "b")): None},
+    # the first bad key fires, in key order
+    {("a", ("a",)): -1, ("z", ("a",)): 1},
+    {("b", ("b", "a")): "1/2", ("b", ("b",)): 0.5},
+])
+def test_two_faults_fire_in_reference_order(changes):
+    table = dict(_PAIR_TABLE)
+    for key, value in changes.items():
+        if value is None:
+            del table[key]
+        else:
+            table[key] = value
+
+    def built():
+        inst = RumInstance(alternatives=("a", "b"), choice=table)
+        return inst.alternatives, inst.choice
+
+    want = _outcome(lambda: _validate_reference(("a", "b"), table))
+    assert type(want[0]) is type and _outcome(built) == want
 
 
 def test_validation_matches_reference_at_seven():
