@@ -153,8 +153,9 @@ class RumInstance:
         # menu as given -> its canonical order, once the menu has passed
         # the unknown-alternative and repetition checks
         canonical: dict[tuple, tuple[str, ...]] = {}
-        # only strings are memoised: other values go to parse_rational
-        # every time, so floats and unhashables fail as they always did
+        # only strings are memoised: any other value goes to
+        # parse_rational, so a float still raises InputError and an
+        # unhashable value is never used as a key
         parsed: dict[str, Fraction] = {}
         table: dict[tuple[str, tuple[str, ...]], Fraction] = {}
         for key, value in dict(self.choice).items():
