@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nrb import InternalCheckError, RumInstance, enumerate_menus
+from nrb import InputError, InternalCheckError, RumInstance, enumerate_menus
 from nrb import cli
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
 
@@ -234,6 +234,39 @@ def test_input_errors_name_the_problem(capsys, tmp_path):
     code, report = _capture_json(capsys, ["distance", str(path)])
     assert code == 2
     assert "credal" in report["error"]
+
+
+def test_rum_keys_with_repeated_menus_parse_and_fail_in_key_order():
+    """Menu strings repeat across keys (and spell one menu in several
+    ways); a bad key after good ones reports that key, in key order."""
+    good = {
+        "1|1": "1", "2|2": "1", "3|3": "1",
+        "1|1,2": "1/2", "2|1,2": "1/2",
+        "1|1,3": "1/3", "3|1,3": "2/3",
+        "2|2,3": "1", "3|2,3": "0",
+        "1|1,2,3": "1/4", "2|,1,2,3,": "1/4", "3|1,2,3": "1/2",
+    }
+    doc = {"kind": "rum", "alternatives": ["1", "2", "3"], "choice": good}
+    inst = cli._parse_rum(doc)
+    assert inst.choice[("2", ("1", "2", "3"))] == F(1, 4)
+    assert len(inst.choice) == 12
+    cases = [
+        ({"1|1,2": "1", "2|1,2": "0", "12": "0"},
+         "choice key '12' lacks the 'y|menu' separator"),
+        ({"1|1,2": "1", "2|1,2": "0", "2|,": "0"},
+         "choice key '2|,' names an empty menu"),
+        ({"1|1,2": "1", "2|1,2": "0", "1|1,,2": "0"},
+         "duplicate choice key '1|1,,2'"),
+        ({"1|1,2": "1", "1|,1,2": "0", "2|1,2": "0"},
+         "duplicate choice key '1|,1,2'"),
+        ({"1|1,,2": "1", "1|1,2": "1", "2|,": "0"},
+         "duplicate choice key '1|1,2'"),
+    ]
+    for choice, message in cases:
+        doc = {"kind": "rum", "alternatives": ["1", "2"], "choice": choice}
+        with pytest.raises(InputError) as info:
+            cli._parse_rum(doc)
+        assert str(info.value) == message
 
 
 def test_cap_exit_code(capsys, tmp_path):

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nrb import InputError, decimal_approx, format_rational, parse_rational
 
@@ -38,3 +40,40 @@ def test_decimal_approx_rounds_half_even():
     assert decimal_approx(F(1, 3), places=2) == "0.33"
     assert decimal_approx(F(-1, 8), places=2) == "-0.12"
     assert decimal_approx(F(3, 8), places=2) == "0.38"
+
+
+_SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@st.composite
+def _rational_spellings(draw):
+    """A decimal ``[-+]d[.d]`` or ``a/b`` string, padded with whitespace."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    whole = str(draw(st.integers(0, 10**30)))
+    if draw(st.booleans()):
+        body = f"{sign}{whole}/{draw(st.integers(1, 10**30))}"
+    elif draw(st.booleans()):
+        digits = draw(st.text(alphabet="0123456789", min_size=1, max_size=30))
+        body = f"{sign}{whole}.{digits}"
+    else:
+        body = f"{sign}{whole}"
+    return draw(_SPACE) + body + draw(_SPACE)
+
+
+@given(_rational_spellings())
+def test_strings_parse_like_fraction(text):
+    value = parse_rational(text)
+    assert type(value) is F
+    assert value == F(text.strip())
+
+
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.builds(lambda a, b, c: f"{a}{b}/0{c}", _SPACE, st.integers(), _SPACE),
+))
+def test_non_rationals_raise_input_error(value):
+    with pytest.raises(InputError):
+        parse_rational(value)

@@ -13,6 +13,7 @@ from nrb import (
     OPTIMAL,
     UNBOUNDED,
     InputError,
+    InternalCheckError,
     LinearProgram,
     LpSolution,
     brute_force_lp,
@@ -20,6 +21,7 @@ from nrb import (
     verify_infeasibility,
     verify_optimal,
 )
+from nrb.simplex import MINIMIZE
 
 
 def test_bound_tight_minimum():
@@ -318,3 +320,239 @@ def test_matches_brute_force_on_rational_bounded_programs(lp):
     else:
         assert sol.farkas is not None
         verify_infeasibility(lp, sol.farkas)
+
+
+# The audits as they were when every check ran in ``Fraction`` arithmetic
+# over the whole program; the integer audits must agree with them on
+# every solution, corrupted or not: accept alike, or raise the same
+# first message.
+
+
+def _reference_dot(a, b):
+    return sum((u * v for u, v in zip(a, b) if u and v), F(0))
+
+
+def _reference_weighted_rows(lp, y):
+    s = [F(0)] * lp.n_variables
+    for yi, (coeffs, _, _) in zip(y, lp.constraints):
+        if yi:
+            for j, a in enumerate(coeffs):
+                if a:
+                    s[j] += yi * a
+    return s
+
+
+def _reference_check(condition, message):
+    if not condition:
+        raise InternalCheckError(message)
+
+
+def _reference_verify_optimal(lp, sol):
+    _check = _reference_check
+    _check(sol.status == OPTIMAL, "not an optimal solution")
+    x = sol.primal
+    y = sol.dual
+    n = lp.n_variables
+    minimize = lp.sense == MINIMIZE
+
+    for j in range(n):
+        lo, up = lp.lower[j], lp.upper[j]
+        _check(lo is None or x[j] >= lo, f"variable {j} below lower bound")
+        _check(up is None or x[j] <= up, f"variable {j} above upper bound")
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        lhs = _reference_dot(coeffs, x)
+        if rel == LESS_EQUAL:
+            _check(lhs <= rhs, f"constraint {i} violated")
+            ok = y[i] <= 0 if minimize else y[i] >= 0
+        elif rel == GREATER_EQUAL:
+            _check(lhs >= rhs, f"constraint {i} violated")
+            ok = y[i] >= 0 if minimize else y[i] <= 0
+        else:
+            _check(lhs == rhs, f"constraint {i} violated")
+            ok = True
+        _check(ok, f"dual multiplier {i} has the wrong sign")
+        _check(y[i] == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
+
+    weighted = _reference_weighted_rows(lp, y)
+    bound_term = F(0)
+    for j in range(n):
+        r = sol.reduced_costs[j]
+        _check(r == lp.objective[j] - weighted[j],
+               f"reduced cost {j} inconsistent with duals")
+        lo, up = lp.lower[j], lp.upper[j]
+        at_lower = r > 0 if minimize else r < 0
+        at_upper = r < 0 if minimize else r > 0
+        if at_lower:
+            _check(lo is not None and x[j] == lo,
+                   f"variable {j}: reduced cost pins it to an absent lower bound")
+            bound_term += r * lo
+        elif at_upper:
+            _check(up is not None and x[j] == up,
+                   f"variable {j}: reduced cost pins it to an absent upper bound")
+            bound_term += r * up
+
+    dual_value = _reference_dot(y, [rhs for _, _, rhs in lp.constraints]) + bound_term
+    _check(
+        sol.objective_value == dual_value,
+        "primal and dual objective values differ",
+    )
+
+
+def _reference_verify_infeasibility(lp, farkas):
+    _check = _reference_check
+    y = list(farkas)
+    _check(len(y) == len(lp.constraints), "certificate length mismatch")
+    for i, (_, rel, _) in enumerate(lp.constraints):
+        if rel == LESS_EQUAL:
+            _check(y[i] <= 0, f"certificate sign at <= row {i}")
+        elif rel == GREATER_EQUAL:
+            _check(y[i] >= 0, f"certificate sign at >= row {i}")
+    box_max = F(0)
+    for j, s in enumerate(_reference_weighted_rows(lp, y)):
+        if s > 0:
+            _check(lp.upper[j] is not None,
+                   f"certificate needs an upper bound on variable {j}")
+            box_max += s * lp.upper[j]
+        elif s < 0:
+            _check(lp.lower[j] is not None,
+                   f"certificate needs a lower bound on variable {j}")
+            box_max += s * lp.lower[j]
+    rhs_total = _reference_dot(y, [rhs for _, _, rhs in lp.constraints])
+    _check(box_max < rhs_total, "certificate does not separate")
+
+
+def _audit_message(audit, *args):
+    """None when *audit* accepts, else its InternalCheckError message."""
+    try:
+        audit(*args)
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+def _replace(values, index, value):
+    values = list(values)
+    values[index] = value
+    return tuple(values)
+
+
+def _some_index(draw, values):
+    """An index into *values*, a nonzero entry where there is one."""
+    nonzero = [i for i, v in enumerate(values) if v]
+    return draw(st.sampled_from(nonzero or range(len(values))))
+
+
+@st.composite
+def audited_solutions(draw):
+    """A solved program from ``bounded_programs`` and its solution,
+    corrupted in one of the ways an audit must catch, or left alone."""
+    lp = draw(bounded_programs())
+    sol = solve_lp(lp)
+    if sol.status == OPTIMAL:
+        kinds = ["primal", "reduced cost", "objective"]
+        kinds += ["dual"] if lp.constraints else []
+    else:
+        kinds = ["farkas"] if sol.farkas else []
+    kind = draw(st.sampled_from(kinds + ["none"]))
+    if kind == "primal":
+        j = draw(st.integers(0, lp.n_variables - 1))
+        step = draw(st.sampled_from([F(1, 1000), F(-1, 1000)]))
+        sol = LpSolution(status=sol.status, objective_value=sol.objective_value,
+                         primal=_replace(sol.primal, j, sol.primal[j] + step),
+                         dual=sol.dual, reduced_costs=sol.reduced_costs)
+    elif kind == "dual":
+        i = _some_index(draw, sol.dual)
+        sol = LpSolution(status=sol.status, objective_value=sol.objective_value,
+                         primal=sol.primal,
+                         dual=_replace(sol.dual, i, -sol.dual[i]),
+                         reduced_costs=sol.reduced_costs)
+    elif kind == "reduced cost":
+        j = draw(st.integers(0, lp.n_variables - 1))
+        shift = draw(_rationals(-2, 2).filter(bool))
+        sol = LpSolution(status=sol.status, objective_value=sol.objective_value,
+                         primal=sol.primal, dual=sol.dual,
+                         reduced_costs=_replace(sol.reduced_costs, j,
+                                                sol.reduced_costs[j] + shift))
+    elif kind == "objective":
+        shift = draw(_rationals(-2, 2).filter(bool))
+        sol = LpSolution(status=sol.status,
+                         objective_value=sol.objective_value + shift,
+                         primal=sol.primal, dual=sol.dual,
+                         reduced_costs=sol.reduced_costs)
+    elif kind == "farkas":
+        i = _some_index(draw, sol.farkas)
+        sol = LpSolution(status=sol.status,
+                         farkas=_replace(sol.farkas, i, F(0)))
+    return lp, sol, kind
+
+
+@given(audited_solutions())
+@settings(max_examples=300, deadline=None)
+def test_audits_match_fraction_reference(case):
+    lp, sol, kind = case
+    if sol.status == OPTIMAL:
+        got = _audit_message(verify_optimal, lp, sol)
+        want = _audit_message(_reference_verify_optimal, lp, sol)
+    else:
+        got = _audit_message(verify_infeasibility, lp, sol.farkas)
+        want = _audit_message(_reference_verify_infeasibility, lp, sol.farkas)
+    assert got == want
+    if kind == "none":
+        assert got is None
+
+
+def test_each_corruption_is_caught_with_the_reference_message():
+    """One fixed program per audit, each corruption rejected, so that the
+    property test above cannot pass by accepting everything."""
+    lp = LinearProgram(
+        objective=(F(2), F(3)),
+        sense="max",
+        constraints=(
+            ((F(1), F(2)), LESS_EQUAL, F(4)),
+            ((F(1), F(-1)), GREATER_EQUAL, F(-3)),
+            ((F(1, 2), F(1, 3)), EQUAL, F(3, 2)),
+        ),
+        lower=(F(0), F(0)),
+        upper=(F(5), None),
+    )
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    bad = [
+        LpSolution(status=OPTIMAL, objective_value=sol.objective_value,
+                   primal=_replace(sol.primal, 0, sol.primal[0] + F(1, 1000)),
+                   dual=sol.dual, reduced_costs=sol.reduced_costs),
+        LpSolution(status=OPTIMAL, objective_value=sol.objective_value,
+                   primal=sol.primal, dual=tuple(-y for y in sol.dual),
+                   reduced_costs=sol.reduced_costs),
+        LpSolution(status=OPTIMAL, objective_value=sol.objective_value,
+                   primal=sol.primal, dual=sol.dual,
+                   reduced_costs=_replace(sol.reduced_costs, 1,
+                                          sol.reduced_costs[1] + 1)),
+        LpSolution(status=OPTIMAL, objective_value=sol.objective_value + 1,
+                   primal=sol.primal, dual=sol.dual,
+                   reduced_costs=sol.reduced_costs),
+    ]
+    for corrupted in bad:
+        want = _audit_message(_reference_verify_optimal, lp, corrupted)
+        assert want is not None
+        assert _audit_message(verify_optimal, lp, corrupted) == want
+
+    infeasible = LinearProgram(
+        objective=(F(0), F(0)),
+        sense="min",
+        constraints=(
+            ((F(1, 2), F(1, 3)), LESS_EQUAL, F(1)),
+            ((F(1), F(1)), GREATER_EQUAL, F(7, 2)),
+        ),
+        lower=(F(0), F(0)),
+    )
+    sol = solve_lp(infeasible)
+    assert sol.status == INFEASIBLE
+    for i, y in enumerate(sol.farkas):
+        if y:
+            farkas = _replace(sol.farkas, i, F(0))
+            want = _audit_message(_reference_verify_infeasibility,
+                                  infeasible, farkas)
+            assert want is not None
+            assert _audit_message(verify_infeasibility, infeasible,
+                                  farkas) == want
