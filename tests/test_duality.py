@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrb import (
     FULL_SIMPLEX,
@@ -23,6 +25,9 @@ from nrb import (
     mixture,
     vertex_distance,
 )
+from nrb import duality
+from nrb.errors import InternalCheckError
+from nrb.simplex import LpSolution, solve_lp
 from tests.conftest import random_credal_set
 
 
@@ -209,3 +214,97 @@ class TestContamination:
             contamination_feasible(
                 nielsen.planner, nielsen.opinions, FULL_SIMPLEX, F(3, 2)
             )
+
+
+def _reference_l1_audit(target, columns, blocks, sol):
+    """The L1-fit audit as it was in ``Fraction`` arithmetic: the first
+    failing check's message, or None."""
+    n, k = len(target), len(columns)
+
+    def dot(a, b):
+        return sum((u * v for u, v in zip(a, b) if v), F(0))
+
+    value = sol.objective_value
+    weights = sol.primal[n:]
+    error = tuple(
+        t - sum((u * col[x] for u, col in zip(weights, columns) if u), F(0))
+        for x, t in enumerate(target)
+    )
+    stakes = tuple(sol.dual[n + x] - sol.dual[x] for x in range(n))
+    if sum(abs(e) for e in error) != value:
+        return "fitted error norm disagrees with the value"
+    norm = max(abs(f) for f in stakes)
+    if norm > 1:
+        return "stakes exceed unit sup norm"
+    if value > 0 and norm != 1:
+        return "positive value but stakes below unit norm"
+    payoffs = [dot(stakes, col) for col in columns]
+    if any(payoffs[j] > 0 for j in set(range(k)).difference(*blocks)):
+        return "stakes gain on an unconstrained column"
+    best = sum((max(payoffs[j] for j in block) for block in blocks), F(0))
+    if dot(stakes, target) - best != value:
+        return "stakes gap disagrees with the value"
+    return None
+
+
+_small = st.fractions(-2, 2, max_denominator=6)
+
+
+@st.composite
+def _l1_fits(draw):
+    """An L1-fit instance (target, columns, blocks) and a corruption of
+    its optimal solution: (kind, index, amount)."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    target = tuple(draw(_small) for _ in range(n))
+    columns = [tuple(draw(_small) for _ in range(n)) for _ in range(k)]
+    cut = draw(st.integers(0, k))
+    blocks = draw(st.sampled_from([
+        (), (range(k),), (range(cut),) if cut else (),
+        (range(cut), range(cut, k)) if 0 < cut < k else (range(k),),
+    ]))
+    kind = draw(st.sampled_from(["shift", "flip", "scale", "objective", "none"]))
+    index = draw(st.integers(0, 2 * n - 1))
+    amount = draw(st.fractions(-1, 1, max_denominator=7).filter(bool))
+    return target, columns, blocks, (kind, index, amount)
+
+
+def _corrupt(sol, n, kind, index, amount):
+    dual, value = list(sol.dual), sol.objective_value
+    if kind == "shift":
+        dual[index] += amount
+    elif kind == "flip":
+        dual[index] = -dual[index]
+    elif kind == "scale":
+        dual = [abs(amount) * y for y in dual]
+    elif kind == "objective":
+        value += amount
+    return LpSolution(status=sol.status, objective_value=value,
+                      primal=sol.primal, dual=tuple(dual),
+                      reduced_costs=sol.reduced_costs)
+
+
+@given(_l1_fits())
+@settings(max_examples=300, deadline=None)
+def test_l1_fit_audit_matches_fraction_reference(case):
+    """The integer audit of ``_l1_fit`` rejects a corrupted solution
+    exactly when the ``Fraction`` audit does, with the same message."""
+    target, columns, blocks, (kind, index, amount) = case
+    seen = []
+
+    def corrupted_solve(lp):
+        sol = _corrupt(solve_lp(lp), len(target), kind, index, amount)
+        seen.append(sol)
+        return sol
+
+    duality.solve_lp = corrupted_solve
+    try:
+        duality._l1_fit(target, columns, blocks)
+        got = None
+    except InternalCheckError as exc:
+        got = str(exc)
+    finally:
+        duality.solve_lp = solve_lp
+    assert got == _reference_l1_audit(target, columns, blocks, seen[0])
+    if kind == "none":
+        assert got is None

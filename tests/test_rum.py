@@ -30,6 +30,9 @@ from nrb import (
     rum_min_eps,
     rum_residual_min_eps,
 )
+from nrb import rum
+from nrb.errors import InternalCheckError
+from nrb.simplex import LpSolution, solve_lp
 from tests.conftest import random_rationalizable_rum, random_rum
 
 
@@ -693,3 +696,73 @@ def test_deterministic_tables_rationalizable_iff_consistent():
         else:
             assert level > 0
     assert seen_zero == 6
+
+
+def _reference_residual_audit(matrix, p0, sol):
+    """The residual program's audit as it was, summing every mu in
+    ``Fraction``: the first failing check's message, or None."""
+    m, n_ord = len(matrix.pairs), len(matrix.orderings)
+    eps = sol.objective_value
+    mu = sol.primal[:n_ord]
+    rho = sol.primal[n_ord : n_ord + m]
+    try:
+        if eps != 0:
+            rum._verify_residual_kernel(matrix, [v / eps for v in rho], eps)
+    except InternalCheckError as exc:
+        return str(exc)
+    for i in range(m):
+        fitted = sum((mu[j] for j in range(n_ord) if matrix.rows[i][j]), F(0))
+        if fitted + rho[i] != p0[i]:
+            return "residual decomposition fails"
+    return None
+
+
+@given(
+    st.integers(2, 3),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.sampled_from(["mu", "rho", "move", "none"]),
+    st.integers(0, 10**6),
+    st.fractions(-1, 1, max_denominator=9).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_residual_audit_matches_fraction_reference(
+    n, rationalizable, seed, kind, index, amount
+):
+    """The residual decomposition check, over the nonzero mu in
+    integers, rejects a corrupted solution exactly when the ``Fraction``
+    check does: a mu or rho entry moved, or mass moved between two mu."""
+    make = random_rationalizable_rum if rationalizable else random_rum
+    inst = make(random.Random(seed), n)
+    matrix = build_matrix(inst)
+    m, n_ord = len(matrix.pairs), len(matrix.orderings)
+    seen = []
+
+    def corrupted_solve(lp):
+        sol = solve_lp(lp)
+        x = list(sol.primal)
+        if kind == "mu":
+            x[index % n_ord] += amount
+        elif kind == "rho":
+            x[n_ord + index % m] += amount
+        elif kind == "move":
+            x[index % n_ord] += amount
+            x[(index + 1) % n_ord] -= amount
+        sol = LpSolution(status=sol.status, objective_value=sol.objective_value,
+                         primal=tuple(x), dual=sol.dual,
+                         reduced_costs=sol.reduced_costs)
+        seen.append(sol)
+        return sol
+
+    rum.solve_lp = corrupted_solve
+    try:
+        rum._residual_fit(inst, matrix)
+        got = None
+    except InternalCheckError as exc:
+        got = str(exc)
+    finally:
+        rum.solve_lp = solve_lp
+    p0 = [inst.probability(y, menu) for y, menu in matrix.pairs]
+    assert got == _reference_residual_audit(matrix, p0, seen[0])
+    if kind == "none":
+        assert got is None
