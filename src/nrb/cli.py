@@ -151,11 +151,14 @@ def _parse_rum(doc: dict) -> RumInstance:
     if not isinstance(raw, dict):
         raise InputError("choice must be an object keyed 'y|menu'")
     table = {}
+    menus: dict[str, tuple[str, ...]] = {}  # each menu string split once
     for key, value in raw.items():
         if "|" not in key:
             raise InputError(f"choice key {key!r} lacks the 'y|menu' separator")
         y, menu_part = key.split("|", 1)
-        menu = tuple(part for part in menu_part.split(",") if part != "")
+        menu = menus.get(menu_part)
+        if menu is None:
+            menu = menus[menu_part] = tuple(filter(None, menu_part.split(",")))
         if not menu:
             raise InputError(f"choice key {key!r} names an empty menu")
         if (y, menu) in table:

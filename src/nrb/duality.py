@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
@@ -43,6 +44,7 @@ from .simplex import (
     LESS_EQUAL,
     OPTIMAL,
     LinearProgram,
+    _int_row,
     solve_lp,
 )
 
@@ -166,10 +168,6 @@ def _require_shared_space(p_set: CredalSet, q_set: CredalSet) -> None:
         raise InputError("credal sets live on different point spaces")
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((u * v for u, v in zip(a, b) if v), _ZERO)
-
-
 def _unit_shift(values: Sequence[Fraction]) -> _Vector:
     """Shift *values* to least entry zero and scale them to largest entry
     one.  A constant shift moves every expectation under a probability
@@ -230,8 +228,9 @@ def _l1_fit(
 
     value = sol.objective_value
     weights = sol.primal[n:]
+    used = [(u, col) for u, col in zip(weights, columns) if u]
     error = tuple(
-        t - sum((u * col[x] for u, col in zip(weights, columns) if u), _ZERO)
+        t - sum((u * col[x] for u, col in used), _ZERO)
         for x, t in enumerate(target)
     )
     stakes = tuple(sol.dual[n + x] - sol.dual[x] for x in range(n))
@@ -242,11 +241,15 @@ def _l1_fit(
         raise InternalCheckError("stakes exceed unit sup norm")
     if value > 0 and norm != 1:
         raise InternalCheckError("positive value but stakes below unit norm")
-    payoffs = [_dot(stakes, col) for col in columns]
+    # f . t and each payoff f . G_j as integers over f_den * g_den.
+    f, f_den = _int_row(stakes)
+    g, g_den = _int_row([*target, *(v for col in columns for v in col)])
+    payoffs = [sum(map(mul, f, g[x : x + n])) for x in range(0, n * (k + 1), n)]
+    gain = payoffs.pop(0)
     if any(payoffs[j] > 0 for j in set(range(k)).difference(*blocks)):
         raise InternalCheckError("stakes gain on an unconstrained column")
-    best = sum((max(payoffs[j] for j in block) for block in blocks), _ZERO)
-    if _dot(stakes, target) - best != value:
+    best = sum(max(payoffs[j] for j in block) for block in blocks)
+    if (gain - best) * value.denominator != value.numerator * f_den * g_den:
         raise InternalCheckError("stakes gap disagrees with the value")
     return value, weights, error, stakes
 

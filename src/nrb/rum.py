@@ -48,12 +48,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .rational import parse_rational
-from .simplex import EQUAL, OPTIMAL, LinearProgram, solve_lp
+from .simplex import EQUAL, OPTIMAL, LinearProgram, _int_row, solve_lp
 
 __all__ = [
     "ENV_MAX_ALTERNATIVES",
@@ -571,9 +571,11 @@ def _residual_fit(
     if eps != 0:
         residual = tuple(v / eps for v in rho)
         _verify_residual_kernel(matrix, residual, eps)
-    for i in range(m):
-        fitted = sum((mu[j] for j in range(n_ord) if matrix.rows[i][j]), _ZERO)
-        if fitted + rho[i] != p0[i]:
+    support = [j for j, v in enumerate(mu) if v]  # in integers, with rho
+    nums, den = _int_row([mu[j] for j in support] + list(rho))
+    for row, mass, p in zip(matrix.rows, nums[len(support) :], p0):
+        fitted = sum(w for j, w in zip(support, nums) if row[j])
+        if (fitted + mass) * p.denominator != p.numerator * den:
             raise InternalCheckError("residual decomposition fails")
     report = RumReport(
         kind="residual", epsilon_min=eps, pi=pi, residual=residual

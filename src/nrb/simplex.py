@@ -3,16 +3,16 @@
 A dense two-phase primal simplex with Bland's anti-cycling rule.  All
 arithmetic is exact; no floats ever enter the tableau.  Every tableau
 row, the objective row included, is a list of Python ``int`` over one
-positive ``int`` denominator.  A pivot leaves the pivot row's integers in
-place (divided by their gcd) and makes the pivot entry its denominator,
-with the sign made positive.  Every other row with a nonzero entry ``f``
-in the entering column becomes ``row * piv - f * prow`` over
-``den * piv``, reduced by one gcd over the row; where ``piv`` divides
-``f`` this is ``row - (f / piv) * prow`` over the unchanged ``den``,
-updated only on the pivot row's support.  The ratio test cross-multiplies, since a row's denominator cancels from
-``rhs_i / a_i``.  ``Fraction`` values are converted to integer rows once,
-at set-up, and back only when the primal, dual and Farkas vectors are
-read off; every public value is a ``Fraction``.
+positive ``int`` denominator.  A pivot divides the pivot row by its gcd
+and makes the pivot entry ``piv`` its denominator.  Every other row with
+an entry ``f`` in the entering column loses ``f / piv`` times the pivot
+row on the pivot row's support; where ``piv`` does not divide ``f`` the
+row is first scaled to ``den * piv`` and then reduced by its gcd.  The
+ratio test cross-multiplies, since a row's denominator cancels from
+``rhs_i / a_i``.  Each constraint becomes integers over its row's least
+common denominator once, when the :class:`LinearProgram` is built; the
+tableau set-up and the audits below work on that form, and ``Fraction``
+values are built only for the vectors returned.
 
 Solutions come with certificates.  An optimal solution carries the dual
 vector and reduced costs, and is re-verified exactly (primal and dual
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalCheckError
 from .rational import parse_rational
@@ -70,18 +70,6 @@ _MAX_PIVOTS = 2_000_000  # defensive only; Bland's rule precludes cycling
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
 
 
-def _rat_tuple(values: Iterable[object]) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
-
-
-def _opt_rat_tuple(
-    values: Optional[Sequence[object]], n: int
-) -> tuple[Optional[Fraction], ...]:
-    if values is None:
-        return (None,) * n
-    return tuple(None if v is None else parse_rational(v) for v in values)
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """A linear program in general form.
@@ -99,18 +87,19 @@ class LinearProgram:
     upper: tuple[Optional[Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        obj = _rat_tuple(self.objective)
+        obj = tuple(map(parse_rational, self.objective))
         object.__setattr__(self, "objective", obj)
         n = len(obj)
         if self.sense not in (MINIMIZE, MAXIMIZE):
             raise InputError(f"unknown sense {self.sense!r}")
         rows = []
+        int_rows = []  # each row over its lcm: (column, int) pairs, rhs, den
         for idx, row in enumerate(self.constraints):
             try:
                 coeffs, rel, rhs = row
             except (TypeError, ValueError) as exc:
                 raise InputError(f"constraint {idx} is not a triple") from exc
-            coeffs = _rat_tuple(coeffs)
+            coeffs = tuple(map(parse_rational, coeffs))
             if len(coeffs) != n:
                 raise InputError(
                     f"constraint {idx} has {len(coeffs)} coefficients, "
@@ -118,10 +107,17 @@ class LinearProgram:
                 )
             if rel not in _RELATIONS:
                 raise InputError(f"constraint {idx}: unknown relation {rel!r}")
-            rows.append((coeffs, rel, parse_rational(rhs)))
+            rhs = parse_rational(rhs)
+            rows.append((coeffs, rel, rhs))
+            cols = [j for j, v in enumerate(coeffs) if v]
+            ints, den = _int_row([coeffs[j] for j in cols] + [rhs])
+            int_rows.append((list(zip(cols, ints)), ints[-1], den))
         object.__setattr__(self, "constraints", tuple(rows))
-        lower = _opt_rat_tuple(self.lower or None, n)
-        upper = _opt_rat_tuple(self.upper or None, n)
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        lower, upper = (
+            tuple(None if v is None else parse_rational(v) for v in b or (None,) * n)
+            for b in (self.lower, self.upper)
+        )
         if len(lower) != n or len(upper) != n:
             raise InputError("bound vectors must match the variable count")
         object.__setattr__(self, "lower", lower)
@@ -154,32 +150,27 @@ class LpSolution:
 
 def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """*values* as integers over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _support(row: list[int]) -> list[int]:
-    return [k for k, v in enumerate(row) if v]
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _eliminate(
-    row: list[int], den: int, prow: list[int], p: int, f: int, support: list[int]
+    row: list[int], den: int, p: int, f: int, support: list[tuple[int, int]]
 ) -> tuple[list[int], int]:
-    """Subtract ``f/den`` times the row ``prow/p``, whose entry in the
-    pivot column is 1, from ``row/den``.  *f* is the entry of *row* in the
-    pivot column and *support* lists the nonzero columns of *prow*.  When
-    the denominator grows, the result is reduced by the gcd of the row."""
+    """Subtract ``f/den`` times the pivot row over ``p`` (pivot entry 1,
+    nonzero entries the (column, value) pairs *support*) from ``row/den``,
+    where *f* is the pivot-column entry of *row*.  If ``p`` does not divide
+    ``f``, the row is scaled to the grown denominator first and reduced by
+    its gcd after the update on the support."""
     g = gcd(f, p)
     a, b = p // g, f // g
-    if a == 1:
-        # The denominator does not grow; only the pivot row's support
-        # changes, in place.
-        for k in support:
-            row[k] -= b * prow[k]
-        return row, den
-    row = [v * a - b * w for v, w in zip(row, prow)]
-    den *= a
-    g = gcd(den, *row)
+    if a != 1:
+        row = [v * a for v in row]
+        den *= a
+    for k, w in support:
+        row[k] -= b * w
+    g = gcd(den, *row) if a != 1 else 1
     if g != 1:
         row = [v // g for v in row]
         den //= g
@@ -189,22 +180,20 @@ def _eliminate(
 def _pivot(
     rows: list[list[int]], dens: list[int], basis: list[int], r: int, c: int
 ) -> None:
+    # The pivot row is divided by its gcd, signed to a positive pivot
+    # entry, in place on its support.
     prow = rows[r]
-    p = prow[c]
-    if p < 0:
-        prow = [-v for v in prow]
-        p = -p
-    g = gcd(*prow)
+    support = [(k, v) for k, v in enumerate(prow) if v]
+    g = gcd(*prow) if prow[c] > 0 else -gcd(*prow)
     if g != 1:
-        prow = [v // g for v in prow]
-        p //= g
-    rows[r] = prow
-    dens[r] = p
-    support = _support(prow)
+        support = [(k, v // g) for k, v in support]
+        for k, v in support:
+            prow[k] = v
+    p = dens[r] = prow[c]
     for i, row in enumerate(rows):
         f = row[c]
         if f and i != r:
-            rows[i], dens[i] = _eliminate(row, dens[i], prow, p, f, support)
+            rows[i], dens[i] = _eliminate(row, dens[i], p, f, support)
     basis[r] = c
 
 
@@ -242,19 +231,22 @@ def _run_simplex(
     raise InternalCheckError("simplex failed to terminate")  # pragma: no cover
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((u * v for u, v in zip(a, b) if u and v), Fraction(0))
-
-
-def _weighted_rows(lp: LinearProgram, y: Sequence[Fraction]) -> list[Fraction]:
-    """``sum_i y_i a_i`` over the constraint rows, skipping zero terms."""
-    s = [Fraction(0)] * lp.n_variables
-    for yi, (coeffs, _, _) in zip(y, lp.constraints):
-        if yi:
-            for j, a in enumerate(coeffs):
-                if a:
-                    s[j] += yi * a
-    return s
+def _weighted_rows(
+    lp: LinearProgram, y: Sequence[Fraction]
+) -> tuple[list[int], int, int]:
+    """``sum_i y_i a_i`` and ``sum_i y_i b_i`` over the constraint rows,
+    skipping zero multipliers, as integers over one positive denominator:
+    ``(s, t, d)`` stands for ``s / d`` and ``t / d``."""
+    terms = [(v, row) for v, row in zip(y, lp._int_rows) if v]
+    d = lcm(*(v.denominator * den for v, (_, _, den) in terms))
+    s = [0] * lp.n_variables
+    t = 0
+    for v, (pairs, b, den) in terms:
+        w = v.numerator * (d // (v.denominator * den))
+        for j, a in pairs:
+            s[j] += w * a
+        t += w * b
+    return s, t, d
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -264,59 +256,55 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     minimize = lp.sense == MINIMIZE
     zero = Fraction(0)
 
-    for j in range(n):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None and up is not None and lo > up:
-            return LpSolution(status=INFEASIBLE)
-
     # Variable transform: shift lower-bounded variables to x' >= 0, flip
     # upper-only variables, split free ones.  Two-sided bounds add an
     # internal <= row on the shifted variable.
-    cols: list[tuple[int, int]] = []  # (user var, sign)
+    places: list[list[tuple[int, int]]] = []  # per user var: (column, sign)
     base: list[Fraction] = [zero] * n
     bound_rows: list[tuple[int, Fraction]] = []  # (column, shifted upper bound)
+    n_std = 0
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
+        signs = (1,) if lo is not None else (-1,) if up is not None else (1, -1)
+        places.append([(n_std + k, sign) for k, sign in enumerate(signs)])
+        n_std += len(signs)
         if lo is not None:
             base[j] = lo
-            cols.append((j, 1))
             if up is not None:
-                bound_rows.append((len(cols) - 1, up - lo))
+                if lo > up:
+                    return LpSolution(status=INFEASIBLE)
+                bound_rows.append((n_std - 1, up - lo))
         elif up is not None:
             base[j] = up
-            cols.append((j, -1))
-        else:
-            cols.append((j, 1))
-            cols.append((j, -1))
-    n_std = len(cols)
+    shifted = any(base)
 
-    # Standard-form rows as integers over one positive denominator each:
-    # user rows first, then internal bound rows.  A row with a negative
-    # right-hand side is negated, which swaps <= and >=.
-    shifted = [j for j in range(n) if base[j]]
+    # Standard-form rows over one positive denominator each, from the
+    # program's integer rows (a shift of the variables moves the rhs and
+    # may scale the row), then the internal bound rows.  A row with a
+    # negative right-hand side is negated, which swaps <= and >=.
     std: list[tuple[list[int], str, int, int]] = []  # (coeffs, rel, rhs, den)
-    origin_user: list[int] = []  # index into lp.constraints, -1 for bound rows
-    flipped: list[bool] = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        rhs -= sum((coeffs[j] * base[j] for j in shifted), zero)
-        ints, den = _int_row(coeffs + (rhs,))
-        row = [ints[uj] if sign > 0 else -ints[uj] for uj, sign in cols]
-        b = ints[-1]
-        flip = b < 0
-        if flip:
-            row = [-v for v in row]
-            b = -b
+    row_signs: list[int] = []  # -1 where a user row was negated
+    for (_, rel, _), (pairs, b, den) in zip(lp.constraints, lp._int_rows):
+        scale = 1
+        shift = shifted and sum((a * base[j] for j, a in pairs if base[j]), zero)
+        if shift:
+            b -= shift
+            scale, b = b.denominator, b.numerator
+            den *= scale
+        if b < 0:
+            scale, b = -scale, -b
             if rel != EQUAL:
                 rel = LESS_EQUAL if rel == GREATER_EQUAL else GREATER_EQUAL
+        row = [0] * n_std
+        for j, a in pairs:
+            for col, sign in places[j]:
+                row[col] = sign * scale * a
         std.append((row, rel, b, den))
-        origin_user.append(i)
-        flipped.append(flip)
+        row_signs.append(-1 if scale < 0 else 1)
     for col, ub in bound_rows:
         row = [0] * n_std
         row[col] = ub.denominator
         std.append((row, LESS_EQUAL, ub.numerator, ub.denominator))
-        origin_user.append(-1)
-        flipped.append(False)
     m = len(std)
 
     # Tableau columns: structural, then one slack/surplus per inequality
@@ -357,9 +345,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for k in range(m):
             f = rows[m][basis[k]]
             if f:
-                rows[m], dens[m] = _eliminate(
-                    rows[m], dens[m], rows[k], dens[k], f, _support(rows[k])
-                )
+                support = [(c, v) for c, v in enumerate(rows[k]) if v]
+                rows[m], dens[m] = _eliminate(rows[m], dens[m], dens[k], f, support)
 
     # Phase 1: minimize the artificial total.
     rows.append([0] * art_start + [1] * n_art + [0])
@@ -372,14 +359,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if obj[-1] < 0:
         # Infeasible.  Phase-1 duals over the constraint rows are a
         # Farkas certificate; map back through the row flips.
-        farkas: list[Fraction] = [zero] * len(lp.constraints)
-        for k in range(m):
-            if origin_user[k] < 0:
-                continue
-            ic = ident_col[k]
-            y = (oden if ic >= art_start else 0) - obj[ic]
-            farkas[origin_user[k]] = Fraction(-y if flipped[k] else y, oden)
-        cert = tuple(farkas)
+        cert = tuple(
+            Fraction(sign * ((oden if ic >= art_start else 0) - obj[ic]), oden)
+            for sign, ic in zip(row_signs, ident_col)
+        )
         verify_infeasibility(lp, cert)
         return LpSolution(status=INFEASIBLE, farkas=cert)
 
@@ -395,11 +378,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             # the constraint was redundant.
 
     # Phase 2.
-    c_min = [v if minimize else -v for v in lp.objective]
-    ints, dens[m] = _int_row(
-        [c_min[uj] if sign > 0 else -c_min[uj] for uj, sign in cols]
-    )
-    rows[m] = ints + [0] * (n_slack + n_art + 1)
+    c_ints, c_den = _int_row(lp.objective)
+    rows[m], dens[m] = [0] * (ncols + 1), c_den
+    for c, pl in zip(c_ints, places):
+        for col, sign in pl:
+            rows[m][col] = c if (sign > 0) == minimize else -c
     price_basis()
     status = _run_simplex(rows, dens, basis, art_start)
     if status == UNBOUNDED:
@@ -409,31 +392,29 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     for k in range(m):
         if basis[k] < n_std:
             x_std[basis[k]] = Fraction(rows[k][-1], dens[k])
-    x_user = list(base)
-    for col_idx, (uj, sign) in enumerate(cols):
-        x_user[uj] += x_std[col_idx] if sign > 0 else -x_std[col_idx]
-    primal = tuple(x_user)
+    primal = tuple(
+        sum((sign * x_std[col] for col, sign in pl), base[j])
+        for j, pl in enumerate(places)
+    )
 
     # Duals: y = c_B B^{-1}; reading the final tableau at each row's
     # initial identity column gives B^{-1}, and every such column has
-    # phase-2 cost zero, so y_k = -objrow[ident_col[k]].
+    # phase-2 cost zero, so y_k = -objrow[ident_col[k]] for a minimum.
     obj, oden = rows[m], dens[m]
-    dual = [zero] * len(lp.constraints)
-    for k in range(m):
-        if origin_user[k] < 0:
-            continue
-        y = -obj[ident_col[k]]
-        dual[origin_user[k]] = Fraction(-y if flipped[k] else y, oden)
-    if not minimize:
-        dual = [-y for y in dual]
-
-    weighted = _weighted_rows(lp, dual)
+    sense = -1 if minimize else 1
+    dual = tuple(
+        Fraction(sense * sign * obj[ic], oden)
+        for sign, ic in zip(row_signs, ident_col)
+    )
+    s, _, d = _weighted_rows(lp, dual)
     solution = LpSolution(
         status=OPTIMAL,
-        objective_value=_dot(lp.objective, primal),
+        objective_value=sum((c * x for c, x in zip(lp.objective, primal) if x), zero),
         primal=primal,
-        dual=tuple(dual),
-        reduced_costs=tuple(c - s for c, s in zip(lp.objective, weighted)),
+        dual=dual,
+        reduced_costs=tuple(
+            Fraction(c * d - v * c_den, c_den * d) for c, v in zip(c_ints, s)
+        ),
     )
     verify_optimal(lp, solution)
     return solution
@@ -447,7 +428,8 @@ def _check(condition: bool, message: str) -> None:
 def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact optimality audit; raises :class:`InternalCheckError` if any
     of primal feasibility, dual feasibility, complementary slackness, or
-    primal/dual objective equality fails."""
+    primal/dual objective equality fails.  The substitutions run in
+    integers over the program's integer rows."""
     _check(sol.status == OPTIMAL, "not an optimal solution")
     assert sol.primal is not None and sol.dual is not None
     assert sol.reduced_costs is not None and sol.objective_value is not None
@@ -460,8 +442,12 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         lo, up = lp.lower[j], lp.upper[j]
         _check(lo is None or x[j] >= lo, f"variable {j} below lower bound")
         _check(up is None or x[j] <= up, f"variable {j} above upper bound")
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        lhs = _dot(coeffs, x)
+    x_ints, x_den = _int_row(x)  # row i's sides below are times den_i * x_den
+    for i, ((_, rel, _), (pairs, b, _)) in enumerate(
+        zip(lp.constraints, lp._int_rows)
+    ):
+        lhs = sum(a * x_ints[j] for j, a in pairs)
+        rhs = b * x_den
         if rel == LESS_EQUAL:
             _check(lhs <= rhs, f"constraint {i} violated")
             ok = y[i] <= 0 if minimize else y[i] >= 0
@@ -474,11 +460,15 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _check(ok, f"dual multiplier {i} has the wrong sign")
         _check(y[i] == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
 
-    weighted = _weighted_rows(lp, y)
-    bound_term = Fraction(0)
+    # c_j - s_j / d is r_j / (c_den * d).  Each r_j x_j is r_j times the
+    # bound it pins x_j to, or zero.
+    s, t, d = _weighted_rows(lp, y)
+    c_ints, c_den = _int_row(lp.objective)
+    bound_term = 0
     for j in range(n):
         r = sol.reduced_costs[j]
-        _check(r == lp.objective[j] - weighted[j],
+        r_j = c_ints[j] * d - s[j] * c_den
+        _check(r.numerator * c_den * d == r_j * r.denominator,
                f"reduced cost {j} inconsistent with duals")
         lo, up = lp.lower[j], lp.upper[j]
         at_lower = r > 0 if minimize else r < 0
@@ -486,15 +476,15 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         if at_lower:
             _check(lo is not None and x[j] == lo,
                    f"variable {j}: reduced cost pins it to an absent lower bound")
-            bound_term += r * lo
         elif at_upper:
             _check(up is not None and x[j] == up,
                    f"variable {j}: reduced cost pins it to an absent upper bound")
-            bound_term += r * up
+        bound_term += r_j * x_ints[j]
 
-    dual_value = _dot(y, [rhs for _, _, rhs in lp.constraints]) + bound_term
+    value = sol.objective_value
     _check(
-        sol.objective_value == dual_value,
+        value.numerator * c_den * d * x_den
+        == (t * c_den * x_den + bound_term) * value.denominator,
         "primal and dual objective values differ",
     )
 
@@ -505,7 +495,8 @@ def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
     With ``s = sum_i y_i a_i``, any feasible point would satisfy
     ``s.x >= sum_i y_i b_i`` (by the row senses and multiplier signs) while
     the variable bounds force ``s.x <= U`` for the box maximum ``U``; the
-    certificate is valid exactly when ``U < sum_i y_i b_i``.
+    certificate is valid exactly when ``U < sum_i y_i b_i``.  Both sides
+    are taken over the common denominator of the weighted integer rows.
     """
     y = list(farkas)
     _check(len(y) == len(lp.constraints), "certificate length mismatch")
@@ -514,15 +505,15 @@ def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
             _check(y[i] <= 0, f"certificate sign at <= row {i}")
         elif rel == GREATER_EQUAL:
             _check(y[i] >= 0, f"certificate sign at >= row {i}")
+    s, t, _ = _weighted_rows(lp, y)
     box_max = Fraction(0)
-    for j, s in enumerate(_weighted_rows(lp, y)):
-        if s > 0:
+    for j, v in enumerate(s):
+        if v > 0:
             _check(lp.upper[j] is not None,
                    f"certificate needs an upper bound on variable {j}")
-            box_max += s * lp.upper[j]
-        elif s < 0:
+            box_max += v * lp.upper[j]
+        elif v < 0:
             _check(lp.lower[j] is not None,
                    f"certificate needs a lower bound on variable {j}")
-            box_max += s * lp.lower[j]
-    rhs_total = _dot(y, [rhs for _, _, rhs in lp.constraints])
-    _check(box_max < rhs_total, "certificate does not separate")
+            box_max += v * lp.lower[j]
+    _check(box_max < t, "certificate does not separate")
