@@ -48,7 +48,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
