@@ -1,12 +1,18 @@
 """Command-line front end: exit codes, report shape, rendering."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrb import InputError, InternalCheckError, RumInstance, enumerate_menus
 from nrb import cli
@@ -604,3 +610,141 @@ def test_runs_without_numpy(warp_path):
     assert proc.returncode == EXIT_VIOLATED
     certificate = json.loads(report)["certificate"]
     assert certificate["tags"] == {"2|1,2": 1, "1|1,2,3": 1}
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: every command refuses them as input, never as a crash
+
+_WARP_DOC = {
+    "kind": "rum",
+    "alternatives": ["1", "2", "3"],
+    "choice": {
+        "1|1": "1", "2|2": "1", "3|3": "1",
+        "1|1,2": "0", "2|1,2": "1", "1|1,3": "1", "3|1,3": "0",
+        "2|2,3": "1", "3|2,3": "0",
+        "1|1,2,3": "1", "2|1,2,3": "0", "3|1,2,3": "0",
+    },
+}
+
+_EVERY_COMMAND = (
+    ["distance"],
+    ["gordan", "--eps", "1/2"],
+    ["pool", "min-eps"],
+    ["pool", "min-eps", "--genest"],
+    ["pool", "min-eps", "--normalized"],
+    ["pool", "min-eps", "--free"],
+    *(
+        ["pool", "check", "--condition", c, "--eps", "1/3"]
+        for c in ("c", "cstar", "cm", "minmax")
+    ),
+    ["rum", "min-eps"],
+    ["rum", "min-eps", "--residual"],
+    ["rum", "check", "--eps", "1/20"],
+    ["rum", "check", "--star", "--eps", "1/20"],
+    ["rum", "bm"],
+    # argparse binds both of verify's positionals at the first one, so
+    # the instance path goes straight after the op
+    ["verify", "vertex-distance"],
+    ["verify", "grid-gap", "--resolution", "2"],
+    ["verify", "exhaustive-rum", "--eps", "1", "--max-tag", "1"],
+)
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(
+        ("credal", "pooling", "rum", "0", "1", "-1", "1/3", "2/3", "1/0",
+         "0.5", " 1/2 ", "1|1", "a|", "|1,2", "1,2")
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(("kind", "labels", "metric", "P", "Q", "P_set",
+                         "Q_set", "space", "alternatives", "choice", "1|1"))
+        | st.text(max_size=4),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _malformed_documents(draw):
+    """A credal, pooling or rum document with one to three of its
+    fields, entries or list items replaced or removed, or, rarely, no
+    object at the top level at all."""
+    doc = copy.deepcopy(
+        draw(st.sampled_from((NIELSEN_CREDAL, NIELSEN_POOL, _WARP_DOC)))
+    )
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_json_values)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))
+            ))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_json_values)
+            break
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "doc.json")
+
+
+@given(_malformed_documents())
+@settings(max_examples=200, deadline=None)
+def test_malformed_documents_never_crash(fuzz_path, doc):
+    with open(fuzz_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for command in _EVERY_COMMAND:
+        at = 2 if command[0] == "verify" else len(command)
+        argv = command[:at] + [fuzz_path] + command[at:]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code != EXIT_INTERNAL, (argv, doc, out.getvalue())
+
+
+_SITE_FREE_RUNS = (
+    (["distance", "credal.json"], 0, "value", "2/3"),
+    (["pool", "check", "--condition", "c", "--eps", "1/3", "pool.json"],
+     EXIT_VIOLATED, "verdict", "violated"),
+    (["rum", "check", "--star", "--eps", "1/50", "warp.json"],
+     EXIT_VIOLATED, "verdict", "violated"),
+    (["rum", "bm", "warp.json"], 0, "value", "2"),
+)
+
+
+def test_commands_run_without_site_packages(tmp_path):
+    """``python -S`` puts no site-packages on the path, so the package
+    runs on the standard library alone.  The documents are written here:
+    the fixtures module imports pytest, which is not on that path."""
+    for name, doc in (("credal.json", NIELSEN_CREDAL),
+                      ("pool.json", NIELSEN_POOL),
+                      ("warp.json", _WARP_DOC)):
+        (tmp_path / name).write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for args, exit_code, key, value in _SITE_FREE_RUNS:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "nrb.cli", *args],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == exit_code, (args, proc.stderr)
+        assert json.loads(proc.stdout)[key] == value, args

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrb import (
     CapExceededError,
@@ -59,6 +61,66 @@ def test_vertex_distance_member_cap(three_space):
     )
     with pytest.raises(CapExceededError):
         vertex_distance(CredalSet(members), CredalSet(members[:1]))
+
+
+@st.composite
+def _member_vectors(draw, space):
+    """A lattice vector, or a Dirac vector on one point."""
+    if draw(st.booleans()):
+        hit = draw(st.integers(0, space.size - 1))
+        return ProbVector(
+            space, tuple(F(int(x == hit)) for x in range(space.size))
+        )
+    denom = draw(st.sampled_from((1, 2, 3, 4, 6, 12, 60)))
+    cuts = sorted(
+        draw(st.integers(0, denom)) for _ in range(space.size - 1)
+    )
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    return ProbVector(space, tuple(F(p, denom) for p in parts))
+
+
+@st.composite
+def _set_pairs(draw):
+    """Two credal sets on 1-4 points with up to three members each,
+    sometimes with a duplicated member or the second set equal to the
+    first."""
+    n = draw(st.integers(1, 4))
+    space = PointSpace(labels=tuple(str(i) for i in range(n)))
+    sets = []
+    for _ in range(2):
+        members = draw(st.lists(_member_vectors(space), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            members.append(draw(st.sampled_from(members)))
+        sets.append(CredalSet(tuple(members)))
+    if draw(st.integers(0, 4)) == 0:
+        sets[1] = sets[0]
+    return tuple(sets)
+
+
+@given(_set_pairs())
+@settings(max_examples=200, deadline=None)
+def test_vertex_distance_matches_lp_on_degenerate_sets(sets):
+    p_set, q_set = sets
+    value = min_set_distance(p_set, q_set).value
+    assert vertex_distance(p_set, q_set) == value
+    assert vertex_distance(q_set, p_set) == value
+    if p_set == q_set:
+        assert value == 0
+
+
+@given(st.integers(7, 9), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_vertex_distance_refuses_past_six_members(size, on_p_side):
+    space = PointSpace(labels=("0", "1"))
+    members = tuple(
+        ProbVector(space, (F(k, size), F(size - k, size))) for k in range(size)
+    )
+    big, small = CredalSet(members), CredalSet(members[:1])
+    with pytest.raises(CapExceededError):
+        if on_p_side:
+            vertex_distance(big, small)
+        else:
+            vertex_distance(small, big)
 
 
 def test_grid_gap_bounds_distance_from_below(nielsen_sets):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrb import (
     FULL_SIMPLEX,
@@ -24,6 +26,7 @@ from nrb import (
     check_event_minmax,
     contamination_feasible,
     expectation,
+    min_set_distance,
     mixture,
     oscillation,
     pool_min_eps_additive,
@@ -342,6 +345,67 @@ def test_single_expert_levels_collapse(three_space):
         p.weights[x] / q.weights[x] for x in range(3) if q.weights[x] > 0
     )
     assert gen.epsilon_min == 1 - best_scale
+
+
+# ---------------------------------------------------------------------------
+# the additive level against the two-block set distance it was once
+# computed with: P as a one-member credal set against the opinions
+
+
+@st.composite
+def _lattice_vectors(draw, space):
+    denom = draw(st.integers(1, 1000))
+    cuts = sorted(
+        draw(st.integers(0, denom)) for _ in range(space.size - 1)
+    )
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    return ProbVector(space, tuple(F(p, denom) for p in parts))
+
+
+@st.composite
+def _pooling_draws(draw):
+    """Instances on 1-8 points with 1-6 opinions, denominators up to
+    1000, sometimes with a duplicated opinion, a planner equal to an
+    opinion or a planner mixed from the opinions."""
+    n = draw(st.integers(1, 8))
+    space = PointSpace(labels=tuple(str(i) for i in range(n)))
+    members = draw(st.lists(_lattice_vectors(space), min_size=1, max_size=6))
+    if len(members) < 6 and draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)))
+    opinions = CredalSet(tuple(members))
+    shape = draw(st.sampled_from(("free", "opinion", "mixed")))
+    if shape == "opinion":
+        planner = draw(st.sampled_from(members))
+    elif shape == "mixed":
+        planner = mixture(
+            draw(_lattice_vectors(PointSpace(
+                labels=tuple(str(j) for j in range(len(members)))
+            ))).weights,
+            opinions,
+        )
+    else:
+        planner = draw(_lattice_vectors(space))
+    return PoolingInstance(planner=planner, opinions=opinions)
+
+
+@given(_pooling_draws())
+@settings(max_examples=300, deadline=None)
+def test_additive_fit_matches_set_distance_reference(inst):
+    ref = min_set_distance(CredalSet((inst.planner,)), inst.opinions)
+    q_mix = mixture(ref.q_weights, inst.opinions)
+    ref_error = tuple(
+        a - b for a, b in zip(inst.planner.weights, q_mix.weights)
+    )
+    report = pool_min_eps_additive(inst)
+    assert report.kind == "additive" and report.sum_constrained is None
+    assert report.epsilon_min == ref.value
+    assert report.weights == ref.q_weights
+    assert report.error.weights == ref_error
+    wit = check_condition_C(inst, 0)
+    if ref.value == 0:
+        assert wit is None
+    else:
+        assert wit.f.values == tuple(-v for v in ref.stakes.values)
 
 
 # ---------------------------------------------------------------------------
