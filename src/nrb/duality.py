@@ -10,7 +10,8 @@ expected-payoff gap.
 
 That program is one instance of ``_l1_fit``, the exact L1 distance from
 a target vector to a convex hull of generator columns with its betting
-dual and audit.  Linear pooling (``pooling.pool_min_eps_normalized``)
+dual and audit.  Linear pooling (``pooling._pool_fit``, behind
+``pool_min_eps_additive``, ``pool_min_eps_normalized`` and condition C)
 and random utility (``rum.rum_min_eps``) are the other two.
 
 On top of that sit two decision procedures.  ``gordan_decide`` classifies

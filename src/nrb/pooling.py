@@ -12,9 +12,9 @@ achievable, under several error models:
   sum to one, minimizing ||P - sum m_i Q_i||_1.
 
 The additive and normalized levels are the L1 fit ``duality._l1_fit``
-of P to the opinion columns (the additive one through
-``min_set_distance``); the Genest level is the largest opinion mass
-lying under P.
+of P to the opinion columns; the additive level and the normalized one
+with the sum constrained solve the same one-block program.  The Genest
+level is the largest opinion mass lying under P.
 
 Each error model pairs with a unanimity ("Pareto") condition on expected
 payoffs or on event probabilities; the checkers return, on failure, a
@@ -32,7 +32,7 @@ from math import lcm
 from operator import ge
 from typing import Optional
 
-from .duality import DistanceResult, _l1_fit, _unit_shift, min_set_distance
+from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .measures import (
     CredalSet,
@@ -40,7 +40,6 @@ from .measures import (
     SignedVector,
     StakesVector,
     expectation,
-    mixture,
     oscillation,
 )
 from .rational import parse_rational
@@ -136,29 +135,7 @@ def pool_min_eps_additive(inst: PoolingInstance) -> PoolingReport:
     """Least eps with P = Q_m + e, Q_m a convex combination of the
     opinions and ||e||_1 <= eps.  This is the minimum L1 distance from
     the planner to the opinion hull."""
-    return _additive_report(
-        inst, min_set_distance(CredalSet((inst.planner,)), inst.opinions)
-    )
-
-
-def _additive_report(
-    inst: PoolingInstance, result: DistanceResult
-) -> PoolingReport:
-    q_mix = mixture(result.q_weights, inst.opinions)
-    error = SignedVector(
-        space=inst.space,
-        weights=tuple(
-            a - b for a, b in zip(inst.planner.weights, q_mix.weights)
-        ),
-    )
-    if error.l1_norm() != result.value:
-        raise InternalCheckError("additive error norm mismatch")
-    return PoolingReport(
-        kind="additive",
-        epsilon_min=result.value,
-        weights=result.q_weights,
-        error=error,
-    )
+    return _pool_fit(inst, None)[0]
 
 
 def pool_min_eps_genest(inst: PoolingInstance) -> PoolingReport:
@@ -224,19 +201,30 @@ def pool_min_eps_normalized(
     the weights summing to one when *constrain_sum* is set and free
     otherwise: the L1 fit of P to the opinion columns, in one block or
     none."""
+    return _pool_fit(inst, constrain_sum)[0]
+
+
+def _pool_fit(
+    inst: PoolingInstance, constrain_sum: Optional[bool]
+) -> tuple[PoolingReport, StakesVector]:
+    """The L1 fit ``_l1_fit`` of P to the opinion columns, and its
+    betting stakes.  The weights form one block summing to one unless
+    *constrain_sum* is False; None is that same fit, reported as the
+    additive kind."""
     nq = inst.opinions.size
-    value, weights, error, _ = _l1_fit(
+    value, weights, error, stakes = _l1_fit(
         inst.planner.weights,
         [q.weights for q in inst.opinions.members],
-        (range(nq),) if constrain_sum else (),
+        () if constrain_sum is False else (range(nq),),
     )
-    return PoolingReport(
-        kind="normalized-additive",
+    report = PoolingReport(
+        kind="additive" if constrain_sum is None else "normalized-additive",
         epsilon_min=value,
         weights=weights,
         error=SignedVector(space=inst.space, weights=error),
         sum_constrained=constrain_sum,
     )
+    return report, StakesVector(space=inst.space, values=stakes)
 
 
 def _constant_stakes(space, value: Fraction) -> StakesVector:
@@ -264,13 +252,10 @@ def _condition_C(
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
-    result = min_set_distance(CredalSet((inst.planner,)), inst.opinions)
-    report = _additive_report(inst, result)
-    if result.value <= tol:
+    report, stakes = _pool_fit(inst, None)
+    if report.epsilon_min <= tol:
         return None, report
-    witness = _pareto_witness(
-        inst, result.stakes, lambda h: tol * oscillation(h) / 2
-    )
+    witness = _pareto_witness(inst, stakes, lambda h: tol * oscillation(h) / 2)
     return witness, report
 
 

@@ -471,8 +471,7 @@ def evaluate_arsp_star(
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
+    ints = _int_row(values)[0]
     g = math.gcd(*ints)
     if g > 1:
         ints = [t // g for t in ints]

@@ -688,7 +688,8 @@ def _malformed_documents(draw):
                 list(node) if isinstance(node, dict) else range(len(node))
             ))
             child = node[key]
-            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            nested = isinstance(child, (dict, list)) and child
+            if nested and draw(st.booleans()):
                 node = child
                 continue
             if draw(st.booleans()):

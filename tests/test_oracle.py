@@ -88,7 +88,9 @@ def _set_pairs(draw):
     space = PointSpace(labels=tuple(str(i) for i in range(n)))
     sets = []
     for _ in range(2):
-        members = draw(st.lists(_member_vectors(space), min_size=1, max_size=3))
+        members = draw(
+            st.lists(_member_vectors(space), min_size=1, max_size=3)
+        )
         if draw(st.booleans()):
             members.append(draw(st.sampled_from(members)))
         sets.append(CredalSet(tuple(members)))
