@@ -649,7 +649,7 @@ _EVERY_COMMAND = (
     ["verify", "exhaustive-rum", "--eps", "1", "--max-tag", "1"],
 )
 
-_json_values = st.recursive(
+_json_leaves = (
     st.none()
     | st.booleans()
     | st.integers(-10**6, 10**6)
@@ -658,7 +658,10 @@ _json_values = st.recursive(
     | st.sampled_from(
         ("credal", "pooling", "rum", "0", "1", "-1", "1/3", "2/3", "1/0",
          "0.5", " 1/2 ", "1|1", "a|", "|1,2", "1,2")
-    ),
+    )
+)
+_json_values = st.recursive(
+    _json_leaves,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(
         st.sampled_from(("kind", "labels", "metric", "P", "Q", "P_set",
@@ -671,32 +674,33 @@ _json_values = st.recursive(
 )
 
 
+def _sites(node):
+    """Every (container, key) pair in a JSON document."""
+    keys = list(node) if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _sites(node[key])
+
+
 @st.composite
-def _malformed_documents(draw):
-    """A credal, pooling or rum document with one to three of its
-    fields, entries or list items replaced or removed, or, rarely, no
-    object at the top level at all."""
-    doc = copy.deepcopy(
-        draw(st.sampled_from((NIELSEN_CREDAL, NIELSEN_POOL, _WARP_DOC)))
-    )
-    if draw(st.integers(0, 19)) == 0:
+def _malformed_documents(draw, base):
+    """*base* with one to three of its fields, entries or list items,
+    picked uniformly, replaced or removed, or, rarely, no object at the
+    top level at all."""
+    doc = copy.deepcopy(base)
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.05:
         return draw(_json_values)
-    for _ in range(draw(st.integers(1, 3))):
-        node = doc
-        while isinstance(node, (dict, list)) and node:
-            key = draw(st.sampled_from(
-                list(node) if isinstance(node, dict) else range(len(node))
-            ))
-            child = node[key]
-            nested = isinstance(child, (dict, list)) and child
-            if nested and draw(st.booleans()):
-                node = child
-                continue
-            if draw(st.booleans()):
-                del node[key]
-            else:
-                node[key] = draw(_json_values)
+    for _ in range(rng.randint(1, 3)):
+        sites = list(_sites(doc))
+        if not sites:
             break
+        node, key = rng.choice(sites)
+        if rng.random() < 0.5:
+            del node[key]
+        else:
+            node[key] = draw(_json_leaves | _json_values)
     return doc
 
 
@@ -705,9 +709,11 @@ def fuzz_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "doc.json")
 
 
-@given(_malformed_documents())
+@pytest.mark.parametrize("base", (NIELSEN_CREDAL, NIELSEN_POOL, _WARP_DOC))
 @settings(max_examples=200, deadline=None)
-def test_malformed_documents_never_crash(fuzz_path, doc):
+@given(data=st.data())
+def test_malformed_documents_never_crash(fuzz_path, base, data):
+    doc = data.draw(_malformed_documents(base))
     with open(fuzz_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     for command in _EVERY_COMMAND:
