@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from nrb import InputError, InternalCheckError, RumInstance, enumerate_menus
 from nrb import cli
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
+from tests.conftest import _warp_cycle_instance
 
 NIELSEN_CREDAL = {
     "kind": "credal",
@@ -615,16 +616,7 @@ def test_runs_without_numpy(warp_path):
 # ---------------------------------------------------------------------------
 # malformed documents: every command refuses them as input, never as a crash
 
-_WARP_DOC = {
-    "kind": "rum",
-    "alternatives": ["1", "2", "3"],
-    "choice": {
-        "1|1": "1", "2|2": "1", "3|3": "1",
-        "1|1,2": "0", "2|1,2": "1", "1|1,3": "1", "3|1,3": "0",
-        "2|2,3": "1", "3|2,3": "0",
-        "1|1,2,3": "1", "2|1,2,3": "0", "3|1,2,3": "0",
-    },
-}
+_WARP_DOC = _rum_doc(_warp_cycle_instance())
 
 _EVERY_COMMAND = (
     ["distance"],
