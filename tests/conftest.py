@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from nrb import (
     CredalSet,
@@ -118,6 +119,18 @@ def warp_cycle():
 def random_prob_vector(rng: random.Random, space, denom: int = 24):
     """Uniformly chosen lattice distribution with the given denominator."""
     cuts = sorted(rng.randrange(denom + 1) for _ in range(space.size - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+    return ProbVector(space, tuple(F(p, denom) for p in parts))
+
+
+@st.composite
+def lattice_vectors(draw, space, denoms):
+    """Hypothesis strategy: a lattice distribution on *space* whose
+    denominator is drawn from the strategy *denoms*."""
+    denom = draw(denoms)
+    cuts = sorted(
+        draw(st.integers(0, denom)) for _ in range(space.size - 1)
+    )
     parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
     return ProbVector(space, tuple(F(p, denom) for p in parts))
 

@@ -29,7 +29,7 @@ from nrb import (
 )
 from nrb.oracle import _scan_tags_python, _best_choice_table
 from nrb.simplex import LESS_EQUAL, GREATER_EQUAL, EQUAL, INFEASIBLE, OPTIMAL
-from tests.conftest import random_credal_set, random_rum
+from tests.conftest import lattice_vectors, random_credal_set, random_rum
 
 
 def test_vertex_distance_matches_lp():
@@ -71,12 +71,9 @@ def _member_vectors(draw, space):
         return ProbVector(
             space, tuple(F(int(x == hit)) for x in range(space.size))
         )
-    denom = draw(st.sampled_from((1, 2, 3, 4, 6, 12, 60)))
-    cuts = sorted(
-        draw(st.integers(0, denom)) for _ in range(space.size - 1)
+    return draw(
+        lattice_vectors(space, st.sampled_from((1, 2, 3, 4, 6, 12, 60)))
     )
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
-    return ProbVector(space, tuple(F(p, denom) for p in parts))
 
 
 @st.composite

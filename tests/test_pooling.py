@@ -33,7 +33,7 @@ from nrb import (
     pool_min_eps_genest,
     pool_min_eps_normalized,
 )
-from tests.conftest import random_pooling, random_prob_vector
+from tests.conftest import lattice_vectors, random_pooling, random_prob_vector
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +352,7 @@ def test_single_expert_levels_collapse(three_space):
 # computed with: P as a one-member credal set against the opinions
 
 
-@st.composite
-def _lattice_vectors(draw, space):
-    denom = draw(st.integers(1, 1000))
-    cuts = sorted(
-        draw(st.integers(0, denom)) for _ in range(space.size - 1)
-    )
-    parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
-    return ProbVector(space, tuple(F(p, denom) for p in parts))
+_DENOMS = st.integers(1, 1000)
 
 
 @st.composite
@@ -369,7 +362,9 @@ def _pooling_draws(draw):
     opinion or a planner mixed from the opinions."""
     n = draw(st.integers(1, 8))
     space = PointSpace(labels=tuple(str(i) for i in range(n)))
-    members = draw(st.lists(_lattice_vectors(space), min_size=1, max_size=6))
+    members = draw(
+        st.lists(lattice_vectors(space, _DENOMS), min_size=1, max_size=6)
+    )
     if len(members) < 6 and draw(st.booleans()):
         members.append(draw(st.sampled_from(members)))
     opinions = CredalSet(tuple(members))
@@ -378,13 +373,13 @@ def _pooling_draws(draw):
         planner = draw(st.sampled_from(members))
     elif shape == "mixed":
         planner = mixture(
-            draw(_lattice_vectors(PointSpace(
+            draw(lattice_vectors(PointSpace(
                 labels=tuple(str(j) for j in range(len(members)))
-            ))).weights,
+            ), _DENOMS)).weights,
             opinions,
         )
     else:
-        planner = draw(_lattice_vectors(space))
+        planner = draw(lattice_vectors(space, _DENOMS))
     return PoolingInstance(planner=planner, opinions=opinions)
 
 
