@@ -42,7 +42,7 @@ def bm_polynomials(
     alternative's choice probabilities, as integers over one common
     denominator and indexed by menu bitmask, go through a superset
     Moebius transform: one pass per alternative bit over the 2^n masks."""
-    bit = _bits(inst)
+    bit = _bits(inst.alternatives)
     size = 1 << len(bit)
     pairs = inst.pairs()
     masks = [sum(map(bit.__getitem__, menu)) for _, menu in pairs]

@@ -26,14 +26,19 @@ level below the residual optimum.  The returned tag vector violates the
 inequality strictly, and is verified by substitution before being
 returned.
 
-``build_matrix`` takes time linear in the matrix's entries, reading
+``build_matrix`` returns the pairs and the orderings; the matrix's
+rows are built on first read, in time linear in their entries, reading
 each menu's favorites off the block structure of the ordering
 enumeration.  Scoring a tag vector (``evaluate_arsp``,
-``evaluate_arsp_star``) finds the best single ordering by a subset DP in
-O(n^2 2^n) steps, with no scan of the n! columns.  ``ChoiceMatrix`` and
-the approximation programs are still n! columns wide, so the alternative
-count is capped (default 7, overridable via the ``NRB_MAX_ALTERNATIVES``
-environment variable or an explicit argument).
+``evaluate_arsp_star``) reads no rows: it finds the best single
+ordering by a subset DP in O(n^2 2^n) steps, with no scan of the n!
+columns.  The approximation programs read the rows and are still n!
+columns wide, so the alternative count is capped (default 7,
+overridable via the ``NRB_MAX_ALTERNATIVES`` environment variable or an
+explicit argument).
+
+``instance_from_mixture`` sums each pair's mass in integers over the
+lcm of the weights' denominators.
 
 ``RumInstance`` validates a table in one pass over its keys, checking
 and sorting each distinct menu once and parsing each distinct
@@ -43,6 +48,7 @@ lcm of that menu's denominators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -235,11 +241,64 @@ class RumInstance:
 class ChoiceMatrix:
     """0/1 matrix of rational best choices: entry (pair, ordering) is 1
     exactly when the pair's alternative is the ordering's favorite on
-    the pair's menu."""
+    the pair's menu.
+
+    ``orderings`` are those of ``enumerate_orderings`` over the
+    alternatives in list order (``orderings[0]``), as ``build_matrix``
+    returns them.  The n!-wide ``rows`` are built on first read and
+    kept; scoring a tag vector reads only ``pairs``, so it never builds
+    them."""
 
     pairs: tuple[tuple[str, tuple[str, ...]], ...]
     orderings: tuple[tuple[str, ...], ...]
-    rows: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """One row per pair, flagging the orderings it wins, in time
+        linear in the rows' entries.
+
+        ``itertools.permutations`` lists the orderings of a remaining
+        set R in blocks of ``(|R| - 1)!``, one per leading member in
+        list order.  So the favorites of a menu over all orderings of R
+        form one byte string: a leading member on the menu wins its
+        whole block, and any other leading member passes the block to
+        the orderings of R without it.  Each row then flags where its
+        alternative wins."""
+        alternatives = self.orderings[0]
+        n = len(alternatives)
+        memo: dict[tuple[int, int], bytes] = {}
+
+        def winners(menu: int, rest: int) -> bytes:
+            # menu is a subset of rest: leaders off the menu recurse
+            # without themselves, so no menu member ever leaves rest
+            out = memo.get((menu, rest))
+            if out is None:
+                block = math.factorial(rest.bit_count() - 1)
+                parts = []
+                for a in range(n):
+                    if rest >> a & 1:
+                        parts.append(
+                            bytes((a,)) * block if menu >> a & 1
+                            else winners(menu, rest ^ (1 << a))
+                        )
+                out = memo[(menu, rest)] = b"".join(parts)
+            return out
+
+        # two passes: every menu's winners first, rows only once the
+        # memo is gone, so the large row tuples do not interleave with it
+        bit, full = _bits(alternatives), (1 << n) - 1
+        wins: dict[tuple[str, ...], bytes] = {}
+        for _, menu in self.pairs:
+            if menu not in wins:
+                wins[menu] = winners(sum(map(bit.__getitem__, menu)), full)
+        memo.clear()
+        flags = {
+            a: bytes(i) + b"\x01" + bytes(255 - i)
+            for i, a in enumerate(alternatives)
+        }
+        return tuple(
+            tuple(wins[menu].translate(flags[y])) for y, menu in self.pairs
+        )
 
 
 @dataclass(frozen=True)
@@ -278,57 +337,17 @@ class RumReport:
 
 
 def build_matrix(inst: RumInstance, cap: Optional[int] = None) -> ChoiceMatrix:
-    """Enumerate orderings and tabulate their best choices, in time
-    linear in the matrix's entries.
-
-    ``itertools.permutations`` lists the orderings of a remaining set R
-    in blocks of ``(|R| - 1)!``, one per leading member in list order.
-    So the favorites of a menu over all orderings of R form one byte
-    string: a leading member on the menu wins its whole block, and any
-    other leading member passes the block to the orderings of R without
-    it.  Each row then flags where its alternative wins.  The result
-    is still n! columns wide, hence the alternative cap.
-    """
+    """The pairs and the orderings of the choice matrix, refusing above
+    the alternative cap before any work.  The rows, n! entries each,
+    are built on first read of ``ChoiceMatrix.rows``: the programs read
+    them, scoring a tag vector does not."""
     orderings = enumerate_orderings(inst.alternatives, cap)
-    n = len(inst.alternatives)
-    memo: dict[tuple[int, int], bytes] = {}
-
-    def winners(menu: int, rest: int) -> bytes:
-        # menu is a subset of rest: leaders off the menu recurse without
-        # themselves, so no menu member ever leaves rest
-        out = memo.get((menu, rest))
-        if out is None:
-            block = math.factorial(rest.bit_count() - 1)
-            parts = []
-            for a in range(n):
-                if rest >> a & 1:
-                    parts.append(
-                        bytes((a,)) * block if menu >> a & 1
-                        else winners(menu, rest ^ (1 << a))
-                    )
-            out = memo[(menu, rest)] = b"".join(parts)
-        return out
-
-    # two passes: every menu's winners first, rows only once the memo
-    # is gone, so the large row tuples do not interleave with it
-    bit, full = _bits(inst), (1 << n) - 1
-    pairs = inst.pairs()
-    wins: dict[tuple[str, ...], bytes] = {}
-    for _, menu in pairs:
-        if menu not in wins:
-            wins[menu] = winners(sum(map(bit.__getitem__, menu)), full)
-    memo.clear()
-    flags = {
-        a: bytes(i) + b"\x01" + bytes(255 - i)
-        for i, a in enumerate(inst.alternatives)
-    }
-    rows = tuple(tuple(wins[menu].translate(flags[y])) for y, menu in pairs)
-    return ChoiceMatrix(pairs=pairs, orderings=orderings, rows=rows)
+    return ChoiceMatrix(pairs=inst.pairs(), orderings=orderings)
 
 
-def _bits(inst: RumInstance) -> dict[str, int]:
+def _bits(alternatives: Sequence[str]) -> dict[str, int]:
     """Bit of each alternative in a menu bitmask, by list position."""
-    return {a: 1 << i for i, a in enumerate(inst.alternatives)}
+    return {a: 1 << i for i, a in enumerate(alternatives)}
 
 
 def instance_from_mixture(
@@ -346,17 +365,18 @@ def instance_from_mixture(
         )
     if any(v < 0 for v in w) or sum(w) != 1:
         raise InputError("ordering weights must be a probability vector")
-    table: dict[tuple[str, tuple[str, ...]], Fraction] = {}
-    for menu in enumerate_menus(alts):
-        for y in menu:
-            table[(y, menu)] = _ZERO
+    # each pair's mass in integers over the common denominator d
+    d = math.lcm(*(v.denominator for v in w))
+    menus = enumerate_menus(alts)
+    mass = {(y, menu): 0 for menu in menus for y in menu}
     for weight, ordering in zip(w, orderings):
         if not weight:
             continue
+        units = weight.numerator * (d // weight.denominator)
         rank = {a: i for i, a in enumerate(ordering)}
-        for menu in enumerate_menus(alts):
-            best = min(menu, key=rank.__getitem__)
-            table[(best, menu)] += weight
+        for menu in menus:
+            mass[min(menu, key=rank.__getitem__), menu] += units
+    table = {pair: Fraction(k, d) for pair, k in mass.items()}
     return RumInstance(alternatives=alts, choice=table)
 
 
@@ -398,7 +418,7 @@ def _best_ordering_total(
     and the menus without a are left to the orderings of ``R - a``.
     ``w`` is a zeta (subset-sum) transform of the tags, so the whole
     step is O(n^2 2^n) exact additions."""
-    bit = _bits(inst)
+    bit = _bits(inst.alternatives)
     size = 1 << len(bit)
     w = {a: [0] * size for a in bit}
     for (y, menu), tag in zip(matrix.pairs, t):

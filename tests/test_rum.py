@@ -259,6 +259,66 @@ def test_mixture_probabilities_explicit():
     assert inst.probability("a", ("a",)) == 1
 
 
+def _mixture_reference(alternatives, weights):
+    """The choice table of a mixture as first written: the menus
+    enumerated again and a ``Fraction`` added per menu, for every
+    weighted ordering."""
+    alts = tuple(alternatives)
+    table = {}
+    for menu in enumerate_menus(alts):
+        for y in menu:
+            table[(y, menu)] = F(0)
+    for weight, ordering in zip(weights, enumerate_orderings(alts)):
+        if not weight:
+            continue
+        rank = {a: i for i, a in enumerate(ordering)}
+        for menu in enumerate_menus(alts):
+            table[(min(menu, key=rank.__getitem__), menu)] += weight
+    return table
+
+
+def _assert_mixture_matches_reference(alternatives, weights):
+    inst = instance_from_mixture(alternatives, weights)
+    assert inst.alternatives == tuple(alternatives)
+    want = _mixture_reference(alternatives, weights)
+    assert list(inst.choice.items()) == list(want.items())
+    assert all(type(p) is F for p in inst.choice.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_mixture_table_matches_reference(data, n):
+    """Weights of unlike denominators on a few orderings, zeros
+    elsewhere, over labels in and out of string order."""
+    labels = data.draw(st.permutations("edcba"[:n]))
+    n_ord = len(enumerate_orderings(labels))
+    support = data.draw(st.lists(
+        st.integers(min_value=0, max_value=n_ord - 1),
+        min_size=1, max_size=min(n_ord, 8), unique=True,
+    ))
+    raw = data.draw(st.lists(
+        st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12),
+        min_size=len(support), max_size=len(support),
+    ))
+    total = sum(raw)
+    weights = [F(0)] * n_ord
+    for j, v in zip(support, raw):
+        weights[j] = v / total
+    _assert_mixture_matches_reference(labels, weights)
+
+
+def test_uniform_mixture_matches_reference_at_six():
+    labels = ("f", "b", "d", "a", "e", "c")
+    n_ord = len(enumerate_orderings(labels))
+    _assert_mixture_matches_reference(labels, [F(1, n_ord)] * n_ord)
+
+
+def test_mixture_weights_validated():
+    for weights in ((F(1),), (F(3, 2), F(-1, 2)), (F(1, 2), F(1, 3))):
+        with pytest.raises(InputError):
+            instance_from_mixture(("a", "b"), weights)
+
+
 def test_matrix_shape_and_column_sums(skewed_triples):
     matrix = build_matrix(skewed_triples)
     n = skewed_triples.n_alternatives
@@ -395,6 +455,36 @@ def test_best_ordering_total_of_a_column_at_seven():
         assert evaluate_arsp(inst, matrix, t, 1) == (
             evaluate_arsp(inst, matrix, t, 0)[0], F(255, 2)
         )
+
+
+def _lazy_instances():
+    """Tables at n = 3..6 over labels out of string order, and an n=7
+    mixture over three orderings."""
+    labels = ("g", "c", "a", "f", "b", "e", "d")
+    insts = [_relabelled_rum(random.Random(n), labels[:n]) for n in range(3, 7)]
+    weights = [F(0)] * 5040
+    weights[0], weights[1234], weights[5039] = F(1, 2), F(1, 3), F(1, 6)
+    insts.append(instance_from_mixture(labels, weights))
+    return insts
+
+
+@pytest.mark.parametrize("inst", _lazy_instances(),
+                         ids=lambda inst: f"n{inst.n_alternatives}")
+def test_scoring_builds_no_rows(inst):
+    """Scoring reads only the pairs: the rows are built on their first
+    read, equal to the rank lookup's, and kept."""
+    matrix = build_matrix(inst)
+    t = [i % 5 for i in range(len(matrix.pairs))]
+    evaluate_arsp(inst, matrix, t, F(1, 3))
+    evaluate_arsp_star(inst, matrix, t, F(1, 3))
+    assert "rows" not in vars(matrix)
+    rows = matrix.rows
+    assert rows == _reference_matrix(inst)[2]
+    assert all(
+        type(row) is tuple and all(type(v) is int for v in row)
+        for row in rows
+    )
+    assert matrix.rows is rows
 
 
 # ---------------------------------------------------------------------------
