@@ -350,6 +350,17 @@ def _bits(alternatives: Sequence[str]) -> dict[str, int]:
     return {a: 1 << i for i, a in enumerate(alternatives)}
 
 
+def _subset_sums(rows: Iterable[list[int]], bits: Iterable[int]) -> None:
+    """Zeta transform in place: each row, indexed by bitmask over
+    *bits*, ends up holding at each mask the sum over its subsets."""
+    bits = tuple(bits)
+    for row in rows:
+        for b in bits:
+            for r in range(len(row)):
+                if r & b:
+                    row[r] += row[r ^ b]
+
+
 def instance_from_mixture(
     alternatives: Sequence[str],
     weights: Sequence[object],
@@ -365,18 +376,27 @@ def instance_from_mixture(
         )
     if any(v < 0 for v in w) or sum(w) != 1:
         raise InputError("ordering weights must be a probability vector")
-    # each pair's mass in integers over the common denominator d
+    # above[y][S]: the weight, in integers over the common denominator
+    # d, of the orderings that rank exactly the set S above y.  y is the
+    # favorite on a menu when no member of S is on it, so the pair's
+    # mass sums above[y] over the subsets of the menu's complement.
     d = math.lcm(*(v.denominator for v in w))
-    menus = enumerate_menus(alts)
-    mass = {(y, menu): 0 for menu in menus for y in menu}
+    bit = _bits(alts)
+    full = (1 << len(alts)) - 1
+    above = {a: [0] * (full + 1) for a in alts}
     for weight, ordering in zip(w, orderings):
-        if not weight:
-            continue
-        units = weight.numerator * (d // weight.denominator)
-        rank = {a: i for i, a in enumerate(ordering)}
-        for menu in menus:
-            mass[min(menu, key=rank.__getitem__), menu] += units
-    table = {pair: Fraction(k, d) for pair, k in mass.items()}
+        if weight:
+            units = weight.numerator * (d // weight.denominator)
+            s = 0
+            for a in ordering:
+                above[a][s] += units
+                s |= bit[a]
+    _subset_sums(above.values(), bit.values())
+    table = {
+        (y, menu): Fraction(above[y][full ^ sum(map(bit.__getitem__, menu))], d)
+        for menu in enumerate_menus(alts)
+        for y in menu
+    }
     return RumInstance(alternatives=alts, choice=table)
 
 
@@ -423,11 +443,7 @@ def _best_ordering_total(
     w = {a: [0] * size for a in bit}
     for (y, menu), tag in zip(matrix.pairs, t):
         w[y][sum(map(bit.__getitem__, menu))] += tag
-    for row in w.values():
-        for b in bit.values():
-            for r in range(size):
-                if r & b:
-                    row[r] += row[r ^ b]
+    _subset_sums(w.values(), bit.values())
     value = [0] * size
     for r in range(1, size):
         value[r] = max(

@@ -3,11 +3,16 @@
 A dense two-phase primal simplex with Bland's anti-cycling rule.  All
 arithmetic is exact; no floats ever enter the tableau.  Every tableau
 row, the objective row included, is a list of Python ``int`` over one
-positive ``int`` denominator.  A pivot divides the pivot row by its gcd
-and makes the pivot entry ``piv`` its denominator.  Every other row with
+positive ``int`` denominator, not always in lowest terms.  A pivot
+divides the pivot row by its gcd and makes the pivot entry ``piv`` its
+denominator, so the pivot row is in lowest terms.  Every other row with
 an entry ``f`` in the entering column loses ``f / piv`` times the pivot
 row on the pivot row's support; where ``piv`` does not divide ``f`` the
-row is first scaled to ``den * piv`` and then reduced by its gcd.  The
+row's nonzero entries are first scaled to the denominator
+``den * piv / gcd(f, piv)``.  A row is reduced by its gcd only once its
+denominator passes 62 bits: a common factor changes no value the solver
+reads (signs, cross-multiplied ratios, the returned ``Fraction``
+values), and leaving it often lets the next ``piv`` divide ``f``.  The
 ratio test cross-multiplies, since a row's denominator cancels from
 ``rhs_i / a_i``.  Each constraint becomes integers over its row's least
 common denominator once, when the :class:`LinearProgram` is built; the
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -66,6 +72,10 @@ UNBOUNDED = "unbounded"
 
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 _MAX_PIVOTS = 2_000_000  # defensive only; Bland's rule precludes cycling
+# A row is put back in lowest terms once its denominator outgrows this
+# many bits; below it a common factor is left in place.  A safety bound,
+# not a tuning knob: without one, denominators reach hundreds of bits.
+_REDUCE_BITS = 62
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
 
@@ -155,25 +165,36 @@ def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
+def _support(row: list[int]) -> list[tuple[int, int]]:
+    """The (column, value) pairs of the nonzero entries of *row*."""
+    return list(zip(compress(range(len(row)), row), compress(row, row)))
+
+
 def _eliminate(
     row: list[int], den: int, p: int, f: int, support: list[tuple[int, int]]
 ) -> tuple[list[int], int]:
     """Subtract ``f/den`` times the pivot row over ``p`` (pivot entry 1,
     nonzero entries the (column, value) pairs *support*) from ``row/den``,
-    where *f* is the pivot-column entry of *row*.  If ``p`` does not divide
-    ``f``, the row is scaled to the grown denominator first and reduced by
-    its gcd after the update on the support."""
+    in place, where *f* is the pivot-column entry of *row*.  If ``p`` does
+    not divide ``f``, the row's nonzero entries are scaled to the grown
+    denominator first.  The row is reduced by its gcd only when its
+    denominator passes ``_REDUCE_BITS`` bits; below that a common factor
+    may stay in the row, which changes none of the values it stands
+    for."""
     g = gcd(f, p)
     a, b = p // g, f // g
     if a != 1:
-        row = [v * a for v in row]
         den *= a
+        for k in list(compress(range(len(row)), row)):
+            row[k] *= a
     for k, w in support:
         row[k] -= b * w
-    g = gcd(den, *row) if a != 1 else 1
-    if g != 1:
-        row = [v // g for v in row]
-        den //= g
+    if den.bit_length() > _REDUCE_BITS:
+        g = gcd(den, *compress(row, row))
+        if g != 1:
+            den //= g
+            for k in list(compress(range(len(row)), row)):
+                row[k] //= g
     return row, den
 
 
@@ -181,10 +202,14 @@ def _pivot(
     rows: list[list[int]], dens: list[int], basis: list[int], r: int, c: int
 ) -> None:
     # The pivot row is divided by its gcd, signed to a positive pivot
-    # entry, in place on its support.
+    # entry, in place on its support.  This is where a row returns to
+    # lowest terms, which keeps the pivot entry, and with it the scale
+    # of every other row, small.
     prow = rows[r]
-    support = [(k, v) for k, v in enumerate(prow) if v]
-    g = gcd(*prow) if prow[c] > 0 else -gcd(*prow)
+    support = _support(prow)
+    g = gcd(*compress(prow, prow))
+    if prow[c] < 0:
+        g = -g
     if g != 1:
         support = [(k, v // g) for k, v in support]
         for k, v in support:
@@ -345,8 +370,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         for k in range(m):
             f = rows[m][basis[k]]
             if f:
-                support = [(c, v) for c, v in enumerate(rows[k]) if v]
-                rows[m], dens[m] = _eliminate(rows[m], dens[m], dens[k], f, support)
+                rows[m], dens[m] = _eliminate(
+                    rows[m], dens[m], dens[k], f, _support(rows[k])
+                )
 
     # Phase 1: minimize the artificial total.
     rows.append([0] * art_start + [1] * n_art + [0])

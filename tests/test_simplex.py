@@ -1,5 +1,7 @@
+import contextlib
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from nrb import (
     EQUAL,
+    CredalSet,
     GREATER_EQUAL,
     INFEASIBLE,
     LESS_EQUAL,
@@ -16,11 +19,15 @@ from nrb import (
     InternalCheckError,
     LinearProgram,
     LpSolution,
+    PointSpace,
+    ProbVector,
     brute_force_lp,
+    min_set_distance,
     solve_lp,
     verify_infeasibility,
     verify_optimal,
 )
+from nrb import simplex
 from nrb.simplex import MINIMIZE
 
 
@@ -556,3 +563,131 @@ def test_each_corruption_is_caught_with_the_reference_message():
             assert want is not None
             assert _audit_message(verify_infeasibility, infeasible,
                                   farkas) == want
+
+
+# The row elimination as it was when every scaled row was put back in
+# lowest terms at once, over all its entries.  The kernel may leave a
+# common factor in a row, but the row must stand for the same rationals.
+
+
+def _reference_eliminate(row, den, p, f, support):
+    g = gcd(f, p)
+    a, b = p // g, f // g
+    if a != 1:
+        row = [v * a for v in row]
+        den *= a
+    for k, w in support:
+        row[k] -= b * w
+    g = gcd(den, *row) if a != 1 else 1
+    if g != 1:
+        row = [v // g for v in row]
+        den //= g
+    return row, den
+
+
+def _in_lowest_terms(row, den):
+    return gcd(den, *row) == 1
+
+
+@st.composite
+def eliminations(draw):
+    """A row over a positive denominator, with zeros inside and outside
+    the pivot row's support, sometimes sharing a common factor with its
+    denominator and sometimes near the reduction cap; and a pivot row
+    over ``p > 0`` whose entry in the pivot column is ``p``, where the
+    row has ``f``, a multiple of ``p`` or not."""
+    width = draw(st.integers(2, 8))
+    c = draw(st.integers(0, width - 1))
+    entries = st.integers(-10**6, 10**6)
+    sparse = st.one_of(st.just(0), entries)
+    p = draw(st.integers(1, 10**4))
+    if draw(st.booleans()):
+        f = p * draw(st.integers(-50, 50).filter(bool))
+    else:
+        f = draw(entries.filter(bool))
+    row = [draw(sparse) for _ in range(width)]
+    row[c] = f
+    den = draw(st.one_of(st.integers(1, 10**4), st.integers(2**50, 2**66)))
+    common = draw(st.sampled_from([1, 2, 6, 1009, 2**20]))
+    pivot = [draw(sparse) for _ in range(width)]
+    pivot[c] = p
+    support = [(k, v) for k, v in enumerate(pivot) if v]
+    return [v * common for v in row], den * common, p, f * common, support
+
+
+@given(eliminations())
+@settings(max_examples=500, deadline=None)
+def test_eliminate_matches_reference(case):
+    row, den, p, f, support = case
+    want, want_den = _reference_eliminate(list(row), den, p, f, support)
+    got, got_den = simplex._eliminate(list(row), den, p, f, support)
+    assert got_den > 0
+    assert [F(v, got_den) for v in got] == [F(v, want_den) for v in want]
+    assert got_den <= max(den, 2**62) or _in_lowest_terms(got, got_den)
+
+
+@contextlib.contextmanager
+def _checked_pivots(eliminate=None):
+    """Check the tableau after every pivot of the solves run inside: each
+    row's basic column equals its denominator, and no denominator above
+    2**62 belongs to a row that is not in lowest terms.  Yields a record
+    of the pivots, as (row, column) pairs, and of the eliminations that
+    reduced a row.  A given *eliminate* replaces the row elimination and
+    is held to the first check only: the reference leaves a row it does
+    not scale as the update left it, at any size."""
+    capped = eliminate is None
+    pivot, eliminate = simplex._pivot, eliminate or simplex._eliminate
+    record = {"pivots": [], "reductions": 0}
+
+    def checked_pivot(rows, dens, basis, r, c):
+        pivot(rows, dens, basis, r, c)
+        record["pivots"].append((r, c))
+        for k, j in enumerate(basis):
+            assert rows[k][j] == dens[k]
+        for row, den in zip(rows, dens):
+            assert den > 0
+            assert den <= 2**62 or not capped or _in_lowest_terms(row, den)
+
+    def counted_eliminate(row, den, p, f, support):
+        scaled = den * (p // gcd(f, p))
+        row, den = eliminate(row, den, p, f, support)
+        record["reductions"] += den < scaled
+        return row, den
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", checked_pivot)
+        mp.setattr(simplex, "_eliminate", counted_eliminate)
+        yield record
+
+
+@given(bounded_programs())
+@settings(max_examples=150, deadline=None)
+def test_tableau_invariants_hold_after_every_pivot(lp):
+    with _checked_pivots() as got:
+        sol = solve_lp(lp)
+    with _checked_pivots(_reference_eliminate) as want:
+        assert solve_lp(lp) == sol
+    assert got["pivots"] == want["pivots"]
+
+
+def test_tableau_invariants_hold_past_the_reduction_cap():
+    """A credal-12 distance with member denominators near 1000: rows
+    outgrow 62 bits, are reduced, and the pivots and the result are
+    those of the reference elimination."""
+    rng = random.Random(0)
+    space = PointSpace(labels=tuple(str(i) for i in range(12)))
+
+    def member():
+        denom = rng.randrange(990, 1010)
+        cuts = sorted(rng.randrange(denom + 1) for _ in range(space.size - 1))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+        return ProbVector(space, tuple(F(v, denom) for v in parts))
+
+    p_set = CredalSet(tuple(member() for _ in range(4)))
+    q_set = CredalSet(tuple(member() for _ in range(8)))
+    with _checked_pivots() as got:
+        result = min_set_distance(p_set, q_set)
+    with _checked_pivots(_reference_eliminate) as want:
+        assert min_set_distance(p_set, q_set) == result
+    assert got["pivots"] == want["pivots"]
+    assert got["reductions"] > 0
