@@ -8,8 +8,13 @@ For a full-domain stochastic choice function, define for each pair
 Falmagne's theorem says the choice function is a mixture of ordering
 maximizers exactly when every ``K(y, Y)`` is nonnegative; the values
 are then the mixture's marginals "y is best in Y, beaten by the rest".
-Summing the negative parts gives a cheap lower-bound diagnostic for how
-non-rationalizable a choice function is.  The n 2^(n-1) sums come from
+Summing the negative parts gives a cheap diagnostic for how
+non-rationalizable a choice function is.  It is not itself a lower
+bound on the additive distance ``rum_min_eps``, which often lies below
+it.  What holds is that each pair ``(y, Z)`` enters at most 2^(n-1)
+sums, with coefficient +1 or -1, so moving the table by an L1 distance
+d moves the negative mass by at most 2^(n-1) d: the distance is at
+least the negative mass divided by 2^(n-1).  The n 2^(n-1) sums come from
 one superset Moebius transform per alternative over the 2^n menu
 bitmasks, O(n 2^n) integer additions each and O(n^2 2^n) in all; they
 and their negative mass take no alternative cap.
@@ -68,9 +73,10 @@ def bm_negative_norm(inst: RumInstance) -> Fraction:
 
 
 def hoffman_ratio(inst: RumInstance) -> Optional[Fraction]:
-    """Ratio of the exact additive distance to the negative-mass lower
-    diagnostic, or None for a rationalizable instance.  Purely a
-    condition-number style report; both quantities are exact."""
+    """Ratio of the exact additive distance to the negative mass, or
+    None for a rationalizable instance.  Purely a condition-number style
+    report; both quantities are exact.  The ratio can fall below 1, but
+    never below 2^(1-n) for n alternatives."""
     return _ratio(inst, bm_negative_norm(inst))
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import compress
+from operator import mul, neg
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
@@ -68,7 +69,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 _Vector = tuple[Fraction, ...]
 
@@ -182,6 +182,15 @@ def _unit_shift(values: Sequence[Fraction]) -> _Vector:
     return tuple((v - shift) / top for v in values)
 
 
+def _dot(ints: Sequence[int], values: Sequence[Fraction]) -> Fraction:
+    """``ints . values``, summed in integers: directly when every value
+    is an ``int``, else over the values' least common denominator."""
+    if {*map(type, values)} <= {int}:
+        return sum(map(mul, ints, values))
+    nums, den = _int_row(values)
+    return Fraction(sum(map(mul, ints, nums)), den)
+
+
 def _l1_fit(
     target: Sequence[Fraction],
     columns: Sequence[Sequence[Fraction]],
@@ -194,33 +203,32 @@ def _l1_fit(
 
     One exact program, variables z then u: ``-z - G u <= -t`` and
     ``-z + G u <= t`` per coordinate, then one equality row per block.
-    Returns the value, the weights u, the error ``t - G u`` and the
+    Each row is a ``{column: value}`` mapping of its nonzero entries, so
+    a sparse G (RUM passes its 0/1 matrix as ``int``) is never spelled
+    out.  Returns the value, the weights u, the error ``t - G u`` and the
     betting stakes ``f_x = dual[n + x] - dual[x]``.  Audited by
     substitution: the error norm is the value; ``|f| <= 1``, with sup
     norm one at a positive value; ``f . G_j <= 0`` off the blocks; and
     ``f . t - sum_b max_{j in b} f . G_j`` is the value.
     """
     n, k = len(target), len(columns)
-    lo = [[_ZERO] * (n + k) for _ in range(n)]
-    hi = [[_ZERO] * (n + k) for _ in range(n)]
-    for x in range(n):
-        lo[x][x] = hi[x][x] = _MINUS_ONE
-    for j, col in enumerate(columns):
-        for x, g in enumerate(col):
-            if g:
-                lo[x][n + j] = -g
-                hi[x][n + j] = g
-    rows = [(tuple(r), LESS_EQUAL, -t) for r, t in zip(lo, target)]
-    rows += [(tuple(r), LESS_EQUAL, t) for r, t in zip(hi, target)]
+    lo, hi = [], []
+    for x, (t, coords) in enumerate(zip(target, zip(*columns))):
+        cols = list(compress(range(n, n + k), coords))
+        gs = list(compress(coords, coords))
+        row = dict(zip(cols, map(neg, gs)))
+        row[x] = -1
+        lo.append((row, LESS_EQUAL, -t))
+        row = dict(zip(cols, gs))
+        row[x] = -1
+        hi.append((row, LESS_EQUAL, t))
+    rows = lo + hi
     for block in blocks:
-        coeffs = [_ZERO] * (n + k)
-        for j in block:
-            coeffs[n + j] = _ONE
-        rows.append((tuple(coeffs), EQUAL, _ONE))
+        rows.append((dict.fromkeys(map(n.__add__, block), 1), EQUAL, 1))
     lp = LinearProgram(
         objective=(_ONE,) * n + (_ZERO,) * k,
         sense="min",
-        constraints=tuple(rows),
+        constraints=rows,
         lower=(_ZERO,) * (n + k),
     )
     sol = solve_lp(lp)
@@ -229,11 +237,10 @@ def _l1_fit(
 
     value = sol.objective_value
     weights = sol.primal[n:]
-    used = [(u, col) for u, col in zip(weights, columns) if u]
-    error = tuple(
-        t - sum((u * col[x] for u, col in used), _ZERO)
-        for x, t in enumerate(target)
-    )
+    used = [j for j, u in enumerate(weights) if u]
+    w, w_den = _int_row([weights[j] for j in used])
+    fitted = zip(*map(columns.__getitem__, used)) if used else [()] * n
+    error = tuple(t - Fraction(_dot(w, g), w_den) for t, g in zip(target, fitted))
     stakes = tuple(sol.dual[n + x] - sol.dual[x] for x in range(n))
     if sum(abs(e) for e in error) != value:
         raise InternalCheckError("fitted error norm disagrees with the value")
@@ -242,15 +249,14 @@ def _l1_fit(
         raise InternalCheckError("stakes exceed unit sup norm")
     if value > 0 and norm != 1:
         raise InternalCheckError("positive value but stakes below unit norm")
-    # f . t and each payoff f . G_j as integers over f_den * g_den.
+    # f . t and each payoff f . G_j, times f_den.
     f, f_den = _int_row(stakes)
-    g, g_den = _int_row([*target, *(v for col in columns for v in col)])
-    payoffs = [sum(map(mul, f, g[x : x + n])) for x in range(0, n * (k + 1), n)]
-    gain = payoffs.pop(0)
+    gain = _dot(f, target)
+    payoffs = [_dot(f, col) for col in columns]
     if any(payoffs[j] > 0 for j in set(range(k)).difference(*blocks)):
         raise InternalCheckError("stakes gain on an unconstrained column")
     best = sum(max(payoffs[j] for j in block) for block in blocks)
-    if (gain - best) * value.denominator != value.numerator * f_den * g_den:
+    if (gain - best) * value.denominator != value.numerator * f_den:
         raise InternalCheckError("stakes gap disagrees with the value")
     return value, weights, error, stakes
 

@@ -83,7 +83,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_UNIT = (_ZERO, _ONE)
 
 ENV_MAX_ALTERNATIVES = "NRB_MAX_ALTERNATIVES"
 DEFAULT_ALTERNATIVES_CAP = 7
@@ -411,7 +410,7 @@ def _min_eps_with_stakes(
     the matrix columns in one block, and also return the optimal dual
     stakes over the pairs (the betting side)."""
     matrix = build_matrix(inst, cap)
-    columns = [tuple(_UNIT[a] for a in col) for col in zip(*matrix.rows)]
+    columns = list(zip(*matrix.rows))
     eps, pi, error, stakes = _l1_fit(
         _p0_vector(inst, matrix), columns, (range(len(columns)),)
     )
@@ -579,18 +578,17 @@ def _residual_fit(
     n_ord = len(matrix.orderings)
     nvars = n_ord + m + 1
     rows = []
-    for i in range(m):
-        coeffs = [_ZERO] * nvars
-        for j in range(n_ord):
-            if matrix.rows[i][j]:
-                coeffs[j] = _ONE
-        coeffs[n_ord + i] = _ONE
-        rows.append((tuple(coeffs), EQUAL, p0[i]))
-    rows.append(((_ONE,) * n_ord + (_ZERO,) * m + (_ONE,), EQUAL, _ONE))
+    for i, (row, p) in enumerate(zip(matrix.rows, p0)):
+        coeffs = dict.fromkeys(itertools.compress(range(n_ord), row), 1)
+        coeffs[n_ord + i] = 1
+        rows.append((coeffs, EQUAL, p))
+    coeffs = dict.fromkeys(range(n_ord), 1)
+    coeffs[nvars - 1] = 1
+    rows.append((coeffs, EQUAL, 1))
     lp = LinearProgram(
         objective=(_ZERO,) * (nvars - 1) + (_ONE,),
         sense="min",
-        constraints=tuple(rows),
+        constraints=rows,
         lower=(_ZERO,) * nvars,
     )
     sol = solve_lp(lp)

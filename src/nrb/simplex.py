@@ -15,9 +15,11 @@ reads (signs, cross-multiplied ratios, the returned ``Fraction``
 values), and leaving it often lets the next ``piv`` divide ``f``.  The
 ratio test cross-multiplies, since a row's denominator cancels from
 ``rhs_i / a_i``.  Each constraint becomes integers over its row's least
-common denominator once, when the :class:`LinearProgram` is built; the
-tableau set-up and the audits below work on that form, and ``Fraction``
-values are built only for the vectors returned.
+common denominator once, when the :class:`LinearProgram` is built, from
+either a dense row or a ``{column: value}`` mapping of its nonzero
+entries; the tableau set-up and the audits below work on that form, and
+``Fraction`` values are built only for the vectors returned and for the
+dense ``LinearProgram.constraints``, on first read.
 
 Solutions come with certificates.  An optimal solution carries the dual
 vector and reduced costs, and is re-verified exactly (primal and dual
@@ -35,8 +37,10 @@ bounded variable its sign pins the variable to the matching bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -78,55 +82,91 @@ _MAX_PIVOTS = 2_000_000  # defensive only; Bland's rule precludes cycling
 _REDUCE_BITS = 62
 
 Constraint = tuple[tuple[Fraction, ...], str, Fraction]
+# A constraint row over its least common denominator: the (column, int)
+# pairs of its nonzero entries in column order, relation, rhs, den.
+IntRow = tuple[tuple[tuple[int, int], ...], str, int, int]
+_EXACT = frozenset((int, Fraction))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearProgram:
     """A linear program in general form.
 
     ``constraints`` is a sequence of ``(coefficients, relation, rhs)``
-    triples with relation one of ``"<="``, ``"="``, ``">="``.  Bounds are
+    triples with relation one of ``"<="``, ``"="``, ``">="``.  The
+    coefficients are either a dense sequence of one value per variable
+    or a ``{column: value}`` mapping whose absent columns are zero.
+    Plain ``int`` values are taken as they are; any other value goes
+    through ``parse_rational``.  Both forms become the same integer rows
+    ``_int_rows``, which the solver and the audits read, and which
+    equality and hashing compare.  ``constraints`` reads the rows back
+    as dense ``Fraction`` triples, built on first read.  Bounds are
     per-variable and optional; an absent bound means that side is
     unconstrained.
     """
 
     objective: tuple[Fraction, ...]
-    sense: str = MINIMIZE
-    constraints: tuple[Constraint, ...] = ()
-    lower: tuple[Optional[Fraction], ...] = ()
-    upper: tuple[Optional[Fraction], ...] = ()
+    sense: str
+    lower: tuple[Optional[Fraction], ...]
+    upper: tuple[Optional[Fraction], ...]
+    _int_rows: tuple[IntRow, ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        obj = tuple(map(parse_rational, self.objective))
+    def __init__(
+        self,
+        objective: Sequence[object],
+        sense: str = MINIMIZE,
+        constraints: Sequence[tuple[object, str, object]] = (),
+        lower: Sequence[object] = (),
+        upper: Sequence[object] = (),
+    ) -> None:
+        obj = tuple(map(parse_rational, objective))
         object.__setattr__(self, "objective", obj)
+        object.__setattr__(self, "sense", sense)
         n = len(obj)
-        if self.sense not in (MINIMIZE, MAXIMIZE):
-            raise InputError(f"unknown sense {self.sense!r}")
-        rows = []
-        int_rows = []  # each row over its lcm: (column, int) pairs, rhs, den
-        for idx, row in enumerate(self.constraints):
+        if sense not in (MINIMIZE, MAXIMIZE):
+            raise InputError(f"unknown sense {sense!r}")
+        int_rows = []
+        for idx, row in enumerate(constraints):
             try:
                 coeffs, rel, rhs = row
             except (TypeError, ValueError) as exc:
                 raise InputError(f"constraint {idx} is not a triple") from exc
-            coeffs = tuple(map(parse_rational, coeffs))
-            if len(coeffs) != n:
-                raise InputError(
-                    f"constraint {idx} has {len(coeffs)} coefficients, "
-                    f"expected {n}"
-                )
+            mapped = isinstance(coeffs, Mapping)
+            try:
+                if mapped:
+                    if not {*map(type, coeffs)} <= {int}:
+                        raise InputError("columns must be int")
+                    cols = sorted(coeffs)
+                    if cols and (cols[0] < 0 or cols[-1] >= n):
+                        raise InputError(f"column outside 0..{n - 1}")
+                    coeffs = map(coeffs.__getitem__, cols)
+                vals = _exact(list(coeffs))
+                rhs = rhs if type(rhs) is int else parse_rational(rhs)
+            except InputError as exc:
+                raise InputError(f"constraint {idx}: {exc}") from None
+            if not mapped:
+                if len(vals) != n:
+                    raise InputError(
+                        f"constraint {idx} has {len(vals)} coefficients, "
+                        f"expected {n}"
+                    )
+                cols = range(n)
             if rel not in _RELATIONS:
                 raise InputError(f"constraint {idx}: unknown relation {rel!r}")
-            rhs = parse_rational(rhs)
-            rows.append((coeffs, rel, rhs))
-            cols = [j for j, v in enumerate(coeffs) if v]
-            ints, den = _int_row([coeffs[j] for j in cols] + [rhs])
-            int_rows.append((list(zip(cols, ints)), ints[-1], den))
-        object.__setattr__(self, "constraints", tuple(rows))
+            cols = tuple(compress(cols, vals))
+            vals = list(compress(vals, vals))
+            if {*map(type, vals)} <= {int}:
+                den = rhs.denominator
+                ints = [v * den for v in vals] if den != 1 else vals
+                b = rhs.numerator
+            else:
+                ints, den = _int_row(vals + [rhs])
+                b = ints.pop()
+            int_rows.append((tuple(zip(cols, ints)), rel, b, den))
         object.__setattr__(self, "_int_rows", tuple(int_rows))
         lower, upper = (
             tuple(None if v is None else parse_rational(v) for v in b or (None,) * n)
-            for b in (self.lower, self.upper)
+            for b in (lower, upper)
         )
         if len(lower) != n or len(upper) != n:
             raise InputError("bound vectors must match the variable count")
@@ -136,6 +176,19 @@ class LinearProgram:
     @property
     def n_variables(self) -> int:
         return len(self.objective)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The constraints as dense ``(coefficients, relation, rhs)``
+        triples of ``Fraction``."""
+        zero = Fraction(0)
+        out = []
+        for pairs, rel, b, den in self._int_rows:
+            coeffs = [zero] * self.n_variables
+            for j, a in pairs:
+                coeffs[j] = Fraction(a, den)
+            out.append((tuple(coeffs), rel, Fraction(b, den)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -156,6 +209,14 @@ class LpSolution:
     dual: Optional[tuple[Fraction, ...]] = None
     reduced_costs: Optional[tuple[Fraction, ...]] = None
     farkas: Optional[tuple[Fraction, ...]] = None
+
+
+def _exact(values: list) -> list:
+    """*values* with every entry that is neither ``int`` nor ``Fraction``
+    parsed (which refuses floats and bools)."""
+    if {*map(type, values)} <= _EXACT:
+        return values
+    return [v if type(v) is int else parse_rational(v) for v in values]
 
 
 def _int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -263,10 +324,10 @@ def _weighted_rows(
     skipping zero multipliers, as integers over one positive denominator:
     ``(s, t, d)`` stands for ``s / d`` and ``t / d``."""
     terms = [(v, row) for v, row in zip(y, lp._int_rows) if v]
-    d = lcm(*(v.denominator * den for v, (_, _, den) in terms))
+    d = lcm(*(v.denominator * den for v, (_, _, _, den) in terms))
     s = [0] * lp.n_variables
     t = 0
-    for v, (pairs, b, den) in terms:
+    for v, (pairs, _, b, den) in terms:
         w = v.numerator * (d // (v.denominator * den))
         for j, a in pairs:
             s[j] += w * a
@@ -309,7 +370,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # negative right-hand side is negated, which swaps <= and >=.
     std: list[tuple[list[int], str, int, int]] = []  # (coeffs, rel, rhs, den)
     row_signs: list[int] = []  # -1 where a user row was negated
-    for (_, rel, _), (pairs, b, den) in zip(lp.constraints, lp._int_rows):
+    for pairs, rel, b, den in lp._int_rows:
         scale = 1
         shift = shifted and sum((a * base[j] for j, a in pairs if base[j]), zero)
         if shift:
@@ -469,9 +530,7 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _check(lo is None or x[j] >= lo, f"variable {j} below lower bound")
         _check(up is None or x[j] <= up, f"variable {j} above upper bound")
     x_ints, x_den = _int_row(x)  # row i's sides below are times den_i * x_den
-    for i, ((_, rel, _), (pairs, b, _)) in enumerate(
-        zip(lp.constraints, lp._int_rows)
-    ):
+    for i, (pairs, rel, b, _) in enumerate(lp._int_rows):
         lhs = sum(a * x_ints[j] for j, a in pairs)
         rhs = b * x_den
         if rel == LESS_EQUAL:
@@ -525,8 +584,8 @@ def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
     are taken over the common denominator of the weighted integer rows.
     """
     y = list(farkas)
-    _check(len(y) == len(lp.constraints), "certificate length mismatch")
-    for i, (_, rel, _) in enumerate(lp.constraints):
+    _check(len(y) == len(lp._int_rows), "certificate length mismatch")
+    for i, (_, rel, _, _) in enumerate(lp._int_rows):
         if rel == LESS_EQUAL:
             _check(y[i] <= 0, f"certificate sign at <= row {i}")
         elif rel == GREATER_EQUAL:

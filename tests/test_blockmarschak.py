@@ -160,3 +160,19 @@ def test_nonnegativity_characterizes_level_zero():
             assert ratio is None
         else:
             assert ratio == level / norm
+
+
+def test_negative_mass_bounds_the_distance_only_up_to_2_to_the_n_minus_1():
+    """Each pair enters at most 2^(n-1) alternating sums with
+    coefficient +1 or -1, so the additive distance is at least the
+    negative mass over 2^(n-1).  The mass alone is no lower bound: the
+    distance falls below it on some of these tables."""
+    below = 0
+    for n in (3, 4):
+        for seed in range(40):
+            inst = random_rum(random.Random(seed), n)
+            distance = rum_min_eps(inst).epsilon_min
+            mass = bm_negative_norm(inst)
+            assert distance * 2 ** (n - 1) >= mass
+            below += distance < mass
+    assert below > 0

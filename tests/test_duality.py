@@ -23,12 +23,13 @@ from nrb import (
     member_gap,
     min_set_distance,
     mixture,
+    pool_min_eps_additive,
     vertex_distance,
 )
 from nrb import duality
 from nrb.errors import InternalCheckError
-from nrb.simplex import LpSolution, solve_lp
-from tests.conftest import random_credal_set
+from nrb.simplex import EQUAL, LESS_EQUAL, LinearProgram, LpSolution, solve_lp
+from tests.conftest import random_credal_set, random_pooling
 
 
 def _space(n):
@@ -308,3 +309,84 @@ def test_l1_fit_audit_matches_fraction_reference(case):
     assert got == _reference_l1_audit(target, columns, blocks, seen[0])
     if kind == "none":
         assert got is None
+
+
+def _reference_l1_program(target, columns, blocks):
+    """The L1-fit program as ``_l1_fit`` built it from dense
+    ``Fraction`` rows, kept as the test reference."""
+    zero, one = F(0), F(1)
+    n, k = len(target), len(columns)
+    lo = [[zero] * (n + k) for _ in range(n)]
+    hi = [[zero] * (n + k) for _ in range(n)]
+    for x in range(n):
+        lo[x][x] = hi[x][x] = F(-1)
+    for j, col in enumerate(columns):
+        for x, g in enumerate(col):
+            if g:
+                lo[x][n + j] = -g
+                hi[x][n + j] = g
+    rows = [(tuple(r), LESS_EQUAL, -t) for r, t in zip(lo, target)]
+    rows += [(tuple(r), LESS_EQUAL, t) for r, t in zip(hi, target)]
+    for block in blocks:
+        coeffs = [zero] * (n + k)
+        for j in block:
+            coeffs[n + j] = one
+        rows.append((tuple(coeffs), EQUAL, one))
+    return LinearProgram(
+        objective=(one,) * n + (zero,) * k,
+        sense="min",
+        constraints=tuple(rows),
+        lower=(zero,) * (n + k),
+    )
+
+
+def _captured_programs(monkeypatch, module):
+    """Patch *module*'s ``solve_lp`` to record every program it gets."""
+    seen = []
+
+    def capture(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(module, "solve_lp", capture)
+    return seen
+
+
+def _assert_same_program(got, want):
+    assert got == want
+    assert got._int_rows == want._int_rows
+
+
+def test_set_distance_program_matches_dense_reference(monkeypatch, nielsen_sets):
+    rng = random.Random(4)
+    space = _space(5)
+    cases = [nielsen_sets] + [
+        (random_credal_set(rng, space), random_credal_set(rng, space))
+        for _ in range(6)
+    ]
+    seen = _captured_programs(monkeypatch, duality)
+    for p_set, q_set in cases:
+        min_set_distance(p_set, q_set)
+        columns = [tuple(-v for v in p.weights) for p in p_set.members]
+        columns += [q.weights for q in q_set.members]
+        np_ = p_set.size
+        want = _reference_l1_program(
+            (F(0),) * p_set.space.size,
+            columns,
+            (range(np_), range(np_, np_ + q_set.size)),
+        )
+        _assert_same_program(seen.pop(), want)
+
+
+def test_pool_program_matches_dense_reference(monkeypatch, nielsen):
+    rng = random.Random(4)
+    cases = [nielsen] + [random_pooling(rng, 4, 4) for _ in range(6)]
+    seen = _captured_programs(monkeypatch, duality)
+    for inst in cases:
+        pool_min_eps_additive(inst)
+        want = _reference_l1_program(
+            inst.planner.weights,
+            [q.weights for q in inst.opinions.members],
+            (range(inst.opinions.size),),
+        )
+        _assert_same_program(seen.pop(), want)

@@ -30,10 +30,15 @@ from nrb import (
     rum_min_eps,
     rum_residual_min_eps,
 )
-from nrb import rum
+from nrb import duality, rum
 from nrb.errors import InternalCheckError
-from nrb.simplex import LpSolution, solve_lp
+from nrb.simplex import EQUAL, LinearProgram, LpSolution, solve_lp
 from tests.conftest import random_rationalizable_rum, random_rum
+from tests.test_duality import (
+    _assert_same_program,
+    _captured_programs,
+    _reference_l1_program,
+)
 
 
 def _mixture_error(inst, weights):
@@ -856,3 +861,49 @@ def test_residual_audit_matches_fraction_reference(
     assert got == _reference_residual_audit(matrix, p0, seen[0])
     if kind == "none":
         assert got is None
+
+
+def _reference_residual_program(inst, matrix):
+    """The residual program as ``_residual_fit`` built it from dense
+    ``Fraction`` rows, kept as the test reference."""
+    zero, one = F(0), F(1)
+    p0 = [inst.probability(y, menu) for y, menu in matrix.pairs]
+    m = len(matrix.pairs)
+    n_ord = len(matrix.orderings)
+    nvars = n_ord + m + 1
+    rows = []
+    for i in range(m):
+        coeffs = [zero] * nvars
+        for j in range(n_ord):
+            if matrix.rows[i][j]:
+                coeffs[j] = one
+        coeffs[n_ord + i] = one
+        rows.append((tuple(coeffs), EQUAL, p0[i]))
+    rows.append(((one,) * n_ord + (zero,) * m + (one,), EQUAL, one))
+    return LinearProgram(
+        objective=(zero,) * (nvars - 1) + (one,),
+        sense="min",
+        constraints=tuple(rows),
+        lower=(zero,) * nvars,
+    )
+
+
+def test_rum_programs_match_dense_reference(monkeypatch):
+    """The additive program is the L1 fit of P0 to the 0/1 matrix
+    columns in one block, and the residual program is as it was, on 20
+    random tables at n=3 and 20 at n=4."""
+    additive = _captured_programs(monkeypatch, duality)
+    residual = _captured_programs(monkeypatch, rum)
+    for n in (3, 4):
+        for seed in range(20):
+            inst = random_rum(random.Random(seed), n)
+            matrix = build_matrix(inst)
+            rum_min_eps(inst)
+            p0 = [inst.probability(y, menu) for y, menu in matrix.pairs]
+            columns = [tuple(map(F, col)) for col in zip(*matrix.rows)]
+            want = _reference_l1_program(p0, columns, (range(len(columns)),))
+            _assert_same_program(additive.pop(), want)
+            rum_residual_min_eps(inst)
+            _assert_same_program(
+                residual.pop(), _reference_residual_program(inst, matrix)
+            )

@@ -691,3 +691,80 @@ def test_tableau_invariants_hold_past_the_reduction_cap():
         assert min_set_distance(p_set, q_set) == result
     assert got["pivots"] == want["pivots"]
     assert got["reductions"] > 0
+
+
+_entries = st.one_of(st.integers(-4, 4), _rationals(-6, 6))
+
+
+@st.composite
+def two_form_programs(draw):
+    """One program given twice: every constraint as a dense tuple, and
+    as a ``{column: value}`` mapping of its nonzero entries plus some
+    explicit zeros, in shuffled order.  Values mix ``int`` and
+    ``Fraction``, and an integral value may switch type between the
+    forms."""
+    n = draw(st.integers(1, 4))
+    objective = tuple(draw(_entries) for _ in range(n))
+    dense, mapped = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = tuple(draw(st.one_of(st.just(0), _entries)) for _ in range(n))
+        rel = draw(st.sampled_from([LESS_EQUAL, EQUAL, GREATER_EQUAL]))
+        rhs = draw(_entries)
+        cols = [j for j in range(n) if coeffs[j] or draw(st.booleans())]
+        items = []
+        for j in draw(st.permutations(cols)):
+            v = coeffs[j]
+            if v == int(v) and draw(st.booleans()):
+                v = int(v) if type(v) is F else F(v)
+            items.append((j, v))
+        dense.append((coeffs, rel, rhs))
+        mapped.append((dict(items), rel, rhs))
+    lower = tuple(draw(st.one_of(st.none(), st.just(F(0)), _entries))
+                  for _ in range(n))
+    upper = tuple(None if lo is None else lo + draw(_rationals(0, 6))
+                  for lo in lower)
+    return (
+        dict(objective=objective, sense=draw(st.sampled_from(["min", "max"])),
+             lower=lower, upper=upper),
+        dense,
+        mapped,
+    )
+
+
+@given(two_form_programs())
+@settings(max_examples=200, deadline=None)
+def test_mapping_rows_build_the_same_program_as_dense_rows(case):
+    kwargs, dense, mapped = case
+    by_rows = LinearProgram(constraints=dense, **kwargs)
+    by_map = LinearProgram(constraints=mapped, **kwargs)
+    assert by_map._int_rows == by_rows._int_rows
+    assert by_map.constraints == by_rows.constraints == tuple(
+        (tuple(map(F, coeffs)), rel, F(rhs)) for coeffs, rel, rhs in dense
+    )
+    assert all(type(v) is F for coeffs, _, rhs in by_map.constraints
+               for v in (*coeffs, rhs))
+    assert by_map == by_rows
+    assert hash(by_map) == hash(by_rows)
+    assert solve_lp(by_map) == solve_lp(by_rows)
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [
+        ({3: 1}, "column outside"),
+        ({-1: 1}, "column outside"),
+        ({"0": 1}, "columns must be int"),
+        ({1.0: 1}, "columns must be int"),
+        ({True: 1}, "columns must be int"),
+        ({0: 0.5}, "float"),
+        ({0: 0.0}, "float"),
+        ({0: True}, "bool"),
+    ],
+)
+def test_bad_mapping_rows_rejected_naming_the_constraint(row, why):
+    with pytest.raises(InputError, match=rf"^constraint 1: .*{why}"):
+        LinearProgram(
+            objective=(1, 1, 1),
+            constraints=(({0: 1, 2: F(1, 2)}, LESS_EQUAL, 1),
+                         (row, LESS_EQUAL, 1)),
+        )
