@@ -190,23 +190,16 @@ def _pool_representation(report: PoolingReport) -> dict:
 
 def _rum_representation(inst: RumInstance, report: RumReport) -> dict:
     rep: dict = {"kind": report.kind}
-    if report.pi is not None:
-        rep["pi"] = {
-            _ordering_key(o): format_rational(w)
-            for o, w in zip(enumerate_orderings(inst.alternatives), report.pi)
-            if w != 0
-        }
-    if report.error is not None:
-        rep["error"] = {
-            _pair_key(y, menu): format_rational(e)
-            for (y, menu), e in zip(inst.pairs(), report.error)
-            if e != 0
-        }
-    if report.residual is not None:
-        rep["residual"] = {
-            _pair_key(y, menu): format_rational(r)
-            for (y, menu), r in zip(inst.pairs(), report.residual)
-            if r != 0
+    for name in ("pi", "error", "residual"):
+        values = getattr(report, name)
+        if values is None:
+            continue
+        if name == "pi":
+            keys = map(_ordering_key, enumerate_orderings(inst.alternatives))
+        else:
+            keys = (_pair_key(y, menu) for y, menu in inst.pairs())
+        rep[name] = {
+            key: format_rational(v) for key, v in zip(keys, values) if v != 0
         }
     return rep
 

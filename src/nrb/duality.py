@@ -360,24 +360,23 @@ def contamination_feasible(
     rows = []
     one_minus = _ONE - tol
     for x in range(n):
-        coeffs = [_ZERO] * nvars
-        for j, q in enumerate(q_set.members):
-            coeffs[j] = one_minus * q.weights[x]
+        coeffs = {
+            j: one_minus * q.weights[x] for j, q in enumerate(q_set.members)
+        }
         if full:
-            coeffs[nq + x] = _ONE  # residual mass placed directly
+            coeffs[nq + x] = 1  # residual mass placed directly
         else:
             for m, r in enumerate(r_set.members):
                 coeffs[nq + m] = tol * r.weights[x]
-        rows.append((tuple(coeffs), EQUAL, p.weights[x]))
-    coeffs = [_ONE] * nq + [_ZERO] * n_res
-    rows.append((tuple(coeffs), EQUAL, _ONE))
-    coeffs = [_ZERO] * nq + [_ONE] * n_res
-    rows.append((tuple(coeffs), EQUAL, tol if full else _ONE))
+        rows.append((coeffs, EQUAL, p.weights[x]))
+    rows.append((dict.fromkeys(range(nq), 1), EQUAL, _ONE))
+    residual_mass = tol if full else _ONE
+    rows.append((dict.fromkeys(range(nq, nvars), 1), EQUAL, residual_mass))
 
     lp = LinearProgram(
         objective=(_ZERO,) * nvars,
         sense="min",
-        constraints=tuple(rows),
+        constraints=rows,
         lower=(_ZERO,) * nvars,
     )
     sol = solve_lp(lp)

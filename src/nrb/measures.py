@@ -224,19 +224,16 @@ def kr_distance(p: ProbVector, q: ProbVector) -> tuple[Fraction, StakesVector]:
         raise InputError("Kantorovich-Rubinstein distance needs a metric")
     n = space.size
     diff = [p.weights[i] - q.weights[i] for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            coeffs = [_ZERO] * n
-            coeffs[i] = _ONE
-            coeffs[j] = -_ONE
-            rows.append((tuple(coeffs), LESS_EQUAL, space.metric[i][j]))
+    rows = [
+        ({i: 1, j: -1}, LESS_EQUAL, space.metric[i][j])
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
     lp = LinearProgram(
         objective=tuple(diff),
         sense="max",
-        constraints=tuple(rows),
+        constraints=rows,
         lower=(Fraction(-1),) * n,
         upper=(_ONE,) * n,
     )

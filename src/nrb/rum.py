@@ -33,9 +33,10 @@ enumeration.  Scoring a tag vector (``evaluate_arsp``,
 ``evaluate_arsp_star``) reads no rows: it finds the best single
 ordering by a subset DP in O(n^2 2^n) steps, with no scan of the n!
 columns.  The approximation programs read the rows and are still n!
-columns wide, so the alternative count is capped (default 7,
-overridable via the ``NRB_MAX_ALTERNATIVES`` environment variable or an
-explicit argument).
+columns wide, so the alternative count is capped: 7 by default, or the
+value of the ``NRB_MAX_ALTERNATIVES`` environment variable.  The cap is
+decided in one place, ``enumerate_orderings``, which is also the only
+function taking an explicit ``cap=``.
 
 ``instance_from_mixture`` sums each pair's mass in integers over the
 lcm of the weights' denominators.
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .duality import _l1_fit, _unit_shift
+from .duality import _dot, _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .rational import parse_rational
 from .simplex import EQUAL, OPTIMAL, LinearProgram, _int_row, solve_lp
@@ -104,14 +105,6 @@ def max_alternatives() -> int:
     return value
 
 
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    limit = cap if cap is not None else max_alternatives()
-    if n > limit:
-        raise CapExceededError(
-            f"{n} alternatives exceed the enumeration cap of {limit}"
-        )
-
-
 def enumerate_menus(alternatives: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """All nonempty menus, smallest first, lexicographic within a size
     (positions in the alternative list give the letter order)."""
@@ -127,8 +120,14 @@ def enumerate_orderings(
     alternatives: Sequence[str], cap: Optional[int] = None
 ) -> tuple[tuple[str, ...], ...]:
     """All strict orderings (best alternative first), lexicographic by
-    position in the alternative list.  Refuses above the cap."""
-    _check_cap(len(alternatives), cap)
+    position in the alternative list.  Refuses above *cap*, by default
+    ``max_alternatives()``."""
+    n = len(alternatives)
+    limit = cap if cap is not None else max_alternatives()
+    if n > limit:
+        raise CapExceededError(
+            f"{n} alternatives exceed the enumeration cap of {limit}"
+        )
     return tuple(itertools.permutations(alternatives))
 
 
@@ -206,13 +205,11 @@ class RumInstance:
                 )
                 continue
             if not missing:
-                common = math.lcm(*(p.denominator for p in probs))
-                total = sum(p.numerator * (common // p.denominator)
-                            for p in probs)
-                if total != common:
+                nums, den = _int_row(probs)
+                if sum(nums) != den:
                     raise InputError(
                         f"choice probabilities on menu {menu!r} sum to "
-                        f"{Fraction(total, common)}"
+                        f"{Fraction(sum(nums), den)}"
                     )
         if missing:
             raise InputError(f"missing choice entries: {missing}")
@@ -335,12 +332,12 @@ class RumReport:
     residual: Optional[tuple[Fraction, ...]] = None
 
 
-def build_matrix(inst: RumInstance, cap: Optional[int] = None) -> ChoiceMatrix:
+def build_matrix(inst: RumInstance) -> ChoiceMatrix:
     """The pairs and the orderings of the choice matrix, refusing above
     the alternative cap before any work.  The rows, n! entries each,
     are built on first read of ``ChoiceMatrix.rows``: the programs read
     them, scoring a tag vector does not."""
-    orderings = enumerate_orderings(inst.alternatives, cap)
+    orderings = enumerate_orderings(inst.alternatives)
     return ChoiceMatrix(pairs=inst.pairs(), orderings=orderings)
 
 
@@ -361,13 +358,11 @@ def _subset_sums(rows: Iterable[list[int]], bits: Iterable[int]) -> None:
 
 
 def instance_from_mixture(
-    alternatives: Sequence[str],
-    weights: Sequence[object],
-    cap: Optional[int] = None,
+    alternatives: Sequence[str], weights: Sequence[object]
 ) -> RumInstance:
     """The stochastic choice function of a mixture over orderings."""
     alts = tuple(alternatives)
-    orderings = enumerate_orderings(alts, cap)
+    orderings = enumerate_orderings(alts)
     w = tuple(parse_rational(v) for v in weights)
     if len(w) != len(orderings):
         raise InputError(
@@ -379,16 +374,15 @@ def instance_from_mixture(
     # d, of the orderings that rank exactly the set S above y.  y is the
     # favorite on a menu when no member of S is on it, so the pair's
     # mass sums above[y] over the subsets of the menu's complement.
-    d = math.lcm(*(v.denominator for v in w))
+    units, d = _int_row(w)
     bit = _bits(alts)
     full = (1 << len(alts)) - 1
     above = {a: [0] * (full + 1) for a in alts}
-    for weight, ordering in zip(w, orderings):
-        if weight:
-            units = weight.numerator * (d // weight.denominator)
+    for u, ordering in zip(units, orderings):
+        if u:
             s = 0
             for a in ordering:
-                above[a][s] += units
+                above[a][s] += u
                 s |= bit[a]
     _subset_sums(above.values(), bit.values())
     table = {
@@ -404,12 +398,12 @@ def _p0_vector(inst: RumInstance, matrix: ChoiceMatrix) -> list[Fraction]:
 
 
 def _min_eps_with_stakes(
-    inst: RumInstance, cap: Optional[int] = None
+    inst: RumInstance
 ) -> tuple[RumReport, ChoiceMatrix, tuple[Fraction, ...]]:
     """Solve the additive approximation program, the L1 fit of P0 to
     the matrix columns in one block, and also return the optimal dual
     stakes over the pairs (the betting side)."""
-    matrix = build_matrix(inst, cap)
+    matrix = build_matrix(inst)
     columns = list(zip(*matrix.rows))
     eps, pi, error, stakes = _l1_fit(
         _p0_vector(inst, matrix), columns, (range(len(columns)),)
@@ -420,10 +414,10 @@ def _min_eps_with_stakes(
     return report, matrix, stakes
 
 
-def rum_min_eps(inst: RumInstance, cap: Optional[int] = None) -> RumReport:
+def rum_min_eps(inst: RumInstance) -> RumReport:
     """Least additive approximation level (L1 distance from the choice
     function to the rationalizable polytope, in pair coordinates)."""
-    report, _, _ = _min_eps_with_stakes(inst, cap)
+    report, _, _ = _min_eps_with_stakes(inst)
     return report
 
 
@@ -464,11 +458,7 @@ def _tag_sides(
     t = list(tags)
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
-    p0 = _p0_vector(inst, matrix)
-    d = math.lcm(*(p.denominator for p in p0))
-    lhs = Fraction(
-        sum(p.numerator * (d // p.denominator) * k for p, k in zip(p0, t)), d
-    )
+    lhs = _dot(t, _p0_vector(inst, matrix))
     return tol, t, lhs, _best_ordering_total(inst, matrix, t)
 
 
@@ -514,7 +504,7 @@ def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
 
 
 def check_eps_arsp(
-    inst: RumInstance, eps: object, cap: Optional[int] = None
+    inst: RumInstance, eps: object
 ) -> Optional[TaggedTrialSequence]:
     """Tagged-trials rationality test at slack *eps*.
 
@@ -523,18 +513,18 @@ def check_eps_arsp(
     a violating tag vector from the optimal dual stakes
     (``_arsp_certificate``).
     """
-    return _arsp_check(inst, eps, cap)[0]
+    return _arsp_check(inst, eps)[0]
 
 
 def _arsp_check(
-    inst: RumInstance, eps: object, cap: Optional[int] = None
+    inst: RumInstance, eps: object
 ) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
     """``check_eps_arsp`` with the additive report and the matrix it
     was decided on."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
-    report, matrix, stakes = _min_eps_with_stakes(inst, cap)
+    report, matrix, stakes = _min_eps_with_stakes(inst)
     if report.epsilon_min <= tol:
         return None, report, matrix
     return _arsp_certificate(inst, matrix, stakes, tol), report, matrix
@@ -556,13 +546,11 @@ def _arsp_certificate(
     return cert
 
 
-def rum_residual_min_eps(
-    inst: RumInstance, cap: Optional[int] = None
-) -> RumReport:
+def rum_residual_min_eps(inst: RumInstance) -> RumReport:
     """Least eps with ``P0 = (1 - eps) A pi + eps R`` where R assigns
     each menu a probability vector over its members.  Always solvable:
     eps = 1 puts everything in the residual."""
-    return _residual_fit(inst, build_matrix(inst, cap))[0]
+    return _residual_fit(inst, build_matrix(inst))[0]
 
 
 def _residual_fit(
@@ -630,7 +618,7 @@ def _verify_residual_kernel(
 
 
 def check_eps_arsp_star(
-    inst: RumInstance, eps: object, cap: Optional[int] = None
+    inst: RumInstance, eps: object
 ) -> Optional[TaggedTrialSequence]:
     """Residual-variant rationality test at level *eps* in [0, 1].
 
@@ -642,18 +630,18 @@ def check_eps_arsp_star(
     menu's top tag equal to the global top), cleared to integers,
     gcd-reduced, and verified to violate the inequality strictly.
     """
-    return _arsp_star_check(inst, eps, cap)[0]
+    return _arsp_star_check(inst, eps)[0]
 
 
 def _arsp_star_check(
-    inst: RumInstance, eps: object, cap: Optional[int] = None
+    inst: RumInstance, eps: object
 ) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
     """``check_eps_arsp_star`` with the residual report and the matrix
     it was decided on."""
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("level must lie in [0, 1]")
-    matrix = build_matrix(inst, cap)
+    matrix = build_matrix(inst)
     report, duals = _residual_fit(inst, matrix)
     if report.epsilon_min <= tol:
         return None, report, matrix

@@ -29,7 +29,11 @@ from nrb import (
 from nrb import duality
 from nrb.errors import InternalCheckError
 from nrb.simplex import EQUAL, LESS_EQUAL, LinearProgram, LpSolution, solve_lp
-from tests.conftest import random_credal_set, random_pooling
+from tests.conftest import (
+    random_credal_set,
+    random_pooling,
+    random_prob_vector,
+)
 
 
 def _space(n):
@@ -389,4 +393,57 @@ def test_pool_program_matches_dense_reference(monkeypatch, nielsen):
             [q.weights for q in inst.opinions.members],
             (range(inst.opinions.size),),
         )
+        _assert_same_program(seen.pop(), want)
+
+
+def _reference_contamination_program(p, q_set, r_set, tol):
+    """The contamination program as ``contamination_feasible`` built it
+    from dense ``Fraction`` rows, kept as the test reference."""
+    zero, one = F(0), F(1)
+    full = r_set is FULL_SIMPLEX
+    n, nq = p.space.size, q_set.size
+    n_res = n if full else r_set.size
+    nvars = nq + n_res
+    rows = []
+    for x in range(n):
+        coeffs = [zero] * nvars
+        for j, q in enumerate(q_set.members):
+            coeffs[j] = (one - tol) * q.weights[x]
+        if full:
+            coeffs[nq + x] = one
+        else:
+            for m, r in enumerate(r_set.members):
+                coeffs[nq + m] = tol * r.weights[x]
+        rows.append((tuple(coeffs), EQUAL, p.weights[x]))
+    rows.append((tuple([one] * nq + [zero] * n_res), EQUAL, one))
+    rows.append(
+        (tuple([zero] * nq + [one] * n_res), EQUAL, tol if full else one)
+    )
+    return LinearProgram(
+        objective=(zero,) * nvars,
+        sense="min",
+        constraints=tuple(rows),
+        lower=(zero,) * nvars,
+    )
+
+
+@pytest.mark.parametrize("eps", [F(0), F(1, 2), F(1)])
+def test_contamination_program_matches_dense_reference(
+    monkeypatch, nielsen, three_space, eps
+):
+    rng = random.Random(6)
+    cases = [
+        (nielsen.planner, nielsen.opinions, FULL_SIMPLEX),
+        (nielsen.planner, nielsen.opinions,
+         CredalSet((_dirac(three_space, 2),))),
+    ]
+    for _ in range(10):
+        space = _space(rng.randrange(2, 6))
+        p, q_set = random_prob_vector(rng, space), random_credal_set(rng, space)
+        cases.append((p, q_set, FULL_SIMPLEX))
+        cases.append((p, q_set, random_credal_set(rng, space)))
+    seen = _captured_programs(monkeypatch, duality)
+    for p, q_set, r_set in cases:
+        contamination_feasible(p, q_set, r_set, eps)
+        want = _reference_contamination_program(p, q_set, r_set, eps)
         _assert_same_program(seen.pop(), want)

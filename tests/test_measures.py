@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,15 @@ from nrb.measures import (
     prob_vector_from_json,
     vector_to_json,
 )
-from nrb.simplex import INFEASIBLE, LpSolution, solve_lp
+from nrb.simplex import (
+    INFEASIBLE,
+    LESS_EQUAL,
+    LinearProgram,
+    LpSolution,
+    solve_lp,
+)
+from tests.conftest import random_prob_vector
+from tests.test_duality import _assert_same_program, _captured_programs
 
 
 def _space(n):
@@ -232,6 +241,58 @@ class TestKrDistance:
         monkeypatch.setattr(nrb.measures, "solve_lp", doubled)
         with pytest.raises(InternalCheckError, match="metric stakes"):
             kr_distance(p, q)
+
+
+def _reference_kr_program(p, q):
+    """The metric program as ``kr_distance`` built it from dense
+    ``Fraction`` rows, kept as the test reference."""
+    zero, one = F(0), F(1)
+    space = p.space
+    n = space.size
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            coeffs = [zero] * n
+            coeffs[i] = one
+            coeffs[j] = -one
+            rows.append((tuple(coeffs), LESS_EQUAL, space.metric[i][j]))
+    return LinearProgram(
+        objective=tuple(a - b for a, b in zip(p.weights, q.weights)),
+        sense="max",
+        constraints=tuple(rows),
+        lower=(F(-1),) * n,
+        upper=(one,) * n,
+    )
+
+
+def _line_space(rng, n):
+    """*n* distinct rational points on a line, with their distances."""
+    points = rng.sample([F(k, 6) for k in range(-30, 31)], n)
+    return PointSpace(
+        labels=tuple(str(x) for x in points),
+        metric=tuple(tuple(abs(a - b) for b in points) for a in points),
+    )
+
+
+def test_kr_program_matches_dense_reference(monkeypatch, harmonic_space):
+    rng = random.Random(7)
+    cases = [
+        (
+            ProbVector(harmonic_space, (F(1),) + (F(0),) * 5),
+            ProbVector(harmonic_space, (F(0),) * 5 + (F(1),)),
+        )
+    ]
+    for _ in range(10):
+        space = _line_space(rng, rng.randrange(2, 7))
+        cases.append(
+            (random_prob_vector(rng, space), random_prob_vector(rng, space))
+        )
+    seen = _captured_programs(monkeypatch, nrb.measures)
+    for p, q in cases:
+        kr_distance(p, q)
+        _assert_same_program(seen.pop(), _reference_kr_program(p, q))
 
 
 def test_credal_set_requires_shared_space():

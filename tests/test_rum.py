@@ -16,6 +16,7 @@ from nrb import (
     ProbVector,
     RumInstance,
     TaggedTrialSequence,
+    bm_negative_norm,
     build_matrix,
     check_eps_arsp,
     check_eps_arsp_star,
@@ -23,6 +24,7 @@ from nrb import (
     enumerate_orderings,
     evaluate_arsp,
     evaluate_arsp_star,
+    hoffman_ratio,
     instance_from_mixture,
     max_alternatives,
     min_set_distance,
@@ -762,6 +764,42 @@ def test_alternatives_cap(monkeypatch):
     assert len(enumerate_orderings(("1", "2", "3"))) == 6
     # an explicit cap argument beats the environment
     assert len(enumerate_orderings(("1", "2", "3", "4"), cap=4)) == 24
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        build_matrix,
+        lambda inst: instance_from_mixture(inst.alternatives, ["1/24"] * 24),
+        rum_min_eps,
+        rum_residual_min_eps,
+        lambda inst: check_eps_arsp(inst, 0),
+        lambda inst: check_eps_arsp_star(inst, 0),
+        hoffman_ratio,
+    ],
+    ids=[
+        "build_matrix",
+        "instance_from_mixture",
+        "rum_min_eps",
+        "rum_residual_min_eps",
+        "check_eps_arsp",
+        "check_eps_arsp_star",
+        "hoffman_ratio",
+    ],
+)
+def test_cap_holds_through_every_entry_point(
+    monkeypatch, skewed_triples, call
+):
+    """The environment cap refuses a 4-alternative table at every RUM
+    entry point, before any program is solved."""
+    assert bm_negative_norm(skewed_triples) > 0  # so hoffman_ratio solves
+    solved = [_captured_programs(monkeypatch, m) for m in (rum, duality)]
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", "3")
+    with pytest.raises(
+        CapExceededError, match="4 alternatives exceed the enumeration cap of 3"
+    ):
+        call(skewed_triples)
+    assert solved == [[], []]
 
 
 def test_deterministic_tables_rationalizable_iff_consistent():
