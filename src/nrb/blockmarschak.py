@@ -25,11 +25,11 @@ tables beyond the RUM alternative cap and grows factorially below it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Optional
 
-from .rum import RumInstance, _bits, rum_min_eps
-from .simplex import _int_row
+from .rum import RumInstance, _subset_sums, rum_min_eps
 
 __all__ = [
     "bm_polynomials",
@@ -43,26 +43,17 @@ _ZERO = Fraction(0)
 def bm_polynomials(
     inst: RumInstance,
 ) -> dict[tuple[str, tuple[str, ...]], Fraction]:
-    """Alternating superset sums, keyed like the choice table.  Each
-    alternative's choice probabilities, as integers over one common
-    denominator and indexed by menu bitmask, go through a superset
-    Moebius transform: one pass per alternative bit over the 2^n masks."""
-    bit = _bits(inst.alternatives)
-    size = 1 << len(bit)
-    pairs = inst.pairs()
-    masks = [sum(map(bit.__getitem__, menu)) for _, menu in pairs]
-    nums, den = _int_row([inst.choice[pair] for pair in pairs])
-    k = {a: [0] * size for a in bit}
-    for (y, _), mask, num in zip(pairs, masks, nums):
-        k[y][mask] = num
-    for row in k.values():
-        for b in bit.values():
-            for r in range(size):
-                if not r & b:
-                    row[r] -= row[r | b]
+    """Alternating superset sums, keyed like the choice table in
+    ``pairs()`` order.  Each alternative's row of the instance's integer
+    table is copied in reverse, so indexed by the menu's complement, and
+    goes through a subset Moebius transform.  The zero sums, most of
+    them on a mixture, share one ``Fraction``."""
+    k = {y: row[::-1] for y, row in inst._rows.items()}
+    _subset_sums(k.values(), operator.sub)
+    den = inst._den
     return {
-        (y, menu): Fraction(k[y][mask], den)
-        for (y, menu), mask in zip(pairs, masks)
+        pair: Fraction(v, den) if (v := k[pair[0]][~mask]) else _ZERO
+        for pair, mask in inst._masks.items()
     }
 
 
@@ -82,7 +73,7 @@ def hoffman_ratio(inst: RumInstance) -> Optional[Fraction]:
 
 def _negative_mass(sums: dict[object, Fraction]) -> Fraction:
     """Negative mass of already computed alternating sums."""
-    return sum((-k for k in sums.values() if k < 0), _ZERO)
+    return sum((-k for k in sums.values() if k.numerator < 0), _ZERO)
 
 
 def _ratio(inst: RumInstance, norm: Fraction) -> Optional[Fraction]:

@@ -26,25 +26,23 @@ level below the residual optimum.  The returned tag vector violates the
 inequality strictly, and is verified by substitution before being
 returned.
 
-``build_matrix`` returns the pairs and the orderings; the matrix's
-rows are built on first read, in time linear in their entries, reading
-each menu's favorites off the block structure of the ordering
-enumeration.  Scoring a tag vector (``evaluate_arsp``,
-``evaluate_arsp_star``) reads no rows: it finds the best single
-ordering by a subset DP in O(n^2 2^n) steps, with no scan of the n!
-columns.  The approximation programs read the rows and are still n!
-columns wide, so the alternative count is capped: 7 by default, or the
-value of the ``NRB_MAX_ALTERNATIVES`` environment variable.  The cap is
-decided in one place, ``enumerate_orderings``, which is also the only
-function taking an explicit ``cap=``.
-
-``instance_from_mixture`` sums each pair's mass in integers over the
-lcm of the weights' denominators.
-
 ``RumInstance`` validates a table in one pass over its keys, checking
-and sorting each distinct menu once and parsing each distinct
-probability string once, followed by one integer sum per menu over the
-lcm of that menu's denominators.
+each distinct menu and parsing each distinct probability string once.
+It keeps the checked table, outside the dataclass fields (so ``==``,
+``hash``, ``repr`` and ``choice`` are as before), as integers over one
+common denominator ``_den``: ``_rows[y][mask]`` is y's numerator on the
+menu with that bitmask (bit i for ``alternatives[i]``, 0 off the menu),
+and ``_masks`` maps each pair to its mask in ``pairs()`` order.  Menu
+sums are checked on these integers, and the Block-Marschak sums and the
+observed totals of the tag scores read them as they are.
+
+``build_matrix`` returns the pairs and the orderings; the matrix's n!-wide
+rows are built on first read.  Scoring a tag vector (``evaluate_arsp``,
+``evaluate_arsp_star``) reads no rows: a subset DP finds the best single
+ordering in O(n^2 2^n) steps.  The approximation programs read the rows,
+so the alternative count is capped: 7 by default, or the value of the
+``NRB_MAX_ALTERNATIVES`` environment variable.  The cap is decided in
+``enumerate_orderings``, the only function taking an explicit ``cap=``.
 """
 
 from __future__ import annotations
@@ -52,12 +50,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .duality import _dot, _l1_fit, _unit_shift
+from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .rational import parse_rational
 from .simplex import EQUAL, OPTIMAL, LinearProgram, _int_row, solve_lp
@@ -108,12 +107,10 @@ def max_alternatives() -> int:
 def enumerate_menus(alternatives: Sequence[str]) -> tuple[tuple[str, ...], ...]:
     """All nonempty menus, smallest first, lexicographic within a size
     (positions in the alternative list give the letter order)."""
-    n = len(alternatives)
-    out = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            out.append(tuple(alternatives[i] for i in combo))
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(
+        itertools.combinations(alternatives, size)
+        for size in range(1, len(alternatives) + 1)
+    ))
 
 
 def enumerate_orderings(
@@ -141,7 +138,8 @@ class RumInstance:
     a complete table: every pair present, nothing extra, menu rows
     summing to one.  It makes one pass over the keys, then one integer
     sum per menu; the first check a table fails names the problem.
-    """
+    It keeps the checked table as integers, outside the fields (see the
+    module docstring)."""
 
     alternatives: tuple[str, ...]
     choice: Mapping[tuple[str, tuple[str, ...]], Fraction]
@@ -153,67 +151,85 @@ class RumInstance:
         if len(set(alts)) != len(alts):
             raise InputError("alternatives must be distinct")
         object.__setattr__(self, "alternatives", alts)
-        order = {a: i for i, a in enumerate(alts)}
-        # menu as given -> its canonical order, once the menu has passed
-        # the unknown-alternative and repetition checks
-        canonical: dict[tuple, tuple[str, ...]] = {}
-        # only strings are memoised: any other value goes to
-        # parse_rational, so a float still raises InputError and an
-        # unhashable value is never used as a key
+        bit = _bits(alts)
+        # menu as given -> its canonical order and bitmask, once the menu
+        # has passed the unknown-alternative and repetition checks
+        canonical: dict[tuple, tuple[tuple[str, ...], int]] = {}
+        # only strings are memoised: others go to parse_rational, so a float
+        # still raises InputError and an unhashable value is never a key
         parsed: dict[str, Fraction] = {}
+        dens: set[int] = set()
         table: dict[tuple[str, tuple[str, ...]], Fraction] = {}
+        # rows[y][mask]: y's probability on the menu with that bitmask, a
+        # Fraction until the common denominator is known; int 0 if absent
+        rows = {a: [0] * (1 << len(alts)) for a in alts}
         for key, value in dict(self.choice).items():
             try:
                 y, menu = key
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad choice key {key!r}") from exc
             menu = tuple(menu)
-            canon = canonical.get(menu)
-            if canon is None:
-                if any(a not in order for a in menu) or y not in order:
+            hit = canonical.get(menu)
+            if hit is None:
+                try:
+                    mask = sum(map(bit.__getitem__, menu))
+                except KeyError:
+                    mask = None
+                if mask is None or y not in bit:
                     raise InputError(f"unknown alternative in {key!r}")
-                if len(set(menu)) != len(menu):
+                # a repeated bit carries, so the mask has fewer bits set
+                if mask.bit_count() != len(menu):
                     raise InputError(f"menu {menu!r} repeats an alternative")
-                canon = tuple(sorted(menu, key=order.__getitem__))
-                canonical[menu] = canon
+                canon = tuple(sorted(menu, key=bit.__getitem__))
+                hit = canonical[menu] = canon, mask
+            canon, mask = hit
             if y not in canon:
-                if y not in order:
+                if y not in bit:
                     raise InputError(f"unknown alternative in {key!r}")
                 raise InputError(f"{y!r} is not on the menu {menu!r}")
-            if type(value) is str:
-                prob = parsed.get(value)
-                if prob is None:
-                    prob = parsed[value] = parse_rational(value)
-            else:
+            prob = parsed.get(value) if type(value) is str else None
+            if prob is None:
                 prob = parse_rational(value)
-            if prob.numerator < 0:
-                raise InputError(f"negative probability at {key!r}")
-            if (y, canon) in table:
+                if prob.numerator < 0:
+                    raise InputError(f"negative probability at {key!r}")
+                if type(value) is str:
+                    parsed[value] = prob
+                dens.add(prob.denominator)
+            count = len(table)
+            table[y, canon] = prob
+            if len(table) == count:
                 raise InputError(f"duplicate entry for {(y, canon)!r}")
-            table[(y, canon)] = prob
-        # The keys are now distinct canonical pairs, so the table is the
-        # full domain exactly when no pair is missing.  A menu's sum is
-        # checked in integers over the lcm of its denominators, and only
-        # while no earlier menu lacks a pair.
+            rows[y][mask] = prob
+        # The keys are now distinct canonical pairs.  Each menu in turn gets
+        # integer entries, and its sum is checked while no pair is missing.
+        den = math.lcm(*dens)
+        masks: dict[tuple[str, tuple[str, ...]], int] = {}
         missing = []
-        for menu in enumerate_menus(alts):
-            try:
-                probs = [table[y, menu] for y in menu]
-            except KeyError:
-                missing.extend(
-                    (y, menu) for y in menu if (y, menu) not in table
+        menu_masks = itertools.chain.from_iterable(
+            map(sum, itertools.combinations(bit.values(), size))
+            for size in range(1, len(alts) + 1)
+        )
+        for menu, mask in zip(enumerate_menus(alts), menu_masks):
+            total = 0
+            for y in menu:
+                prob = rows[y][mask]
+                if type(prob) is int:
+                    missing.append((y, menu))
+                    continue
+                rows[y][mask] = num = prob.numerator * (den // prob.denominator)
+                total += num
+                masks[y, menu] = mask
+            if not missing and total != den:
+                raise InputError(
+                    f"choice probabilities on menu {menu!r} sum to "
+                    f"{Fraction(total, den)}"
                 )
-                continue
-            if not missing:
-                nums, den = _int_row(probs)
-                if sum(nums) != den:
-                    raise InputError(
-                        f"choice probabilities on menu {menu!r} sum to "
-                        f"{Fraction(sum(nums), den)}"
-                    )
         if missing:
             raise InputError(f"missing choice entries: {missing}")
         object.__setattr__(self, "choice", table)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def n_alternatives(self) -> int:
@@ -225,9 +241,7 @@ class RumInstance:
     def pairs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Row order of every matrix and report: menus as enumerated,
         alternatives in list order within each menu."""
-        return tuple(
-            (y, menu) for menu in self.menus() for y in menu
-        )
+        return tuple(self._masks)
 
     def probability(self, y: str, menu: tuple[str, ...]) -> Fraction:
         return self.choice[(y, menu)]
@@ -346,15 +360,22 @@ def _bits(alternatives: Sequence[str]) -> dict[str, int]:
     return {a: 1 << i for i, a in enumerate(alternatives)}
 
 
-def _subset_sums(rows: Iterable[list[int]], bits: Iterable[int]) -> None:
-    """Zeta transform in place: each row, indexed by bitmask over
-    *bits*, ends up holding at each mask the sum over its subsets."""
-    bits = tuple(bits)
+def _subset_sums(rows: Iterable[list[int]], combine=operator.add) -> None:
+    """Zeta transform in place: each row, indexed by bitmask, ends up
+    holding at each mask the sum over its subsets, or with ``operator.sub``
+    the alternating sum.  Per bit b, the masks with b combine with those
+    without it in b strided slices, or in blocks once b is large."""
     for row in rows:
-        for b in bits:
-            for r in range(len(row)):
-                if r & b:
-                    row[r] += row[r ^ b]
+        size, b = len(row), 1
+        while b < size:
+            step = 2 * b
+            if b * step <= size:
+                for o in range(b, step):
+                    row[o::step] = map(combine, row[o::step], row[o - b::step])
+            else:
+                for r in range(b, size, step):
+                    row[r:r + b] = map(combine, row[r:r + b], row[r - b:r])
+            b = step
 
 
 def instance_from_mixture(
@@ -384,17 +405,13 @@ def instance_from_mixture(
             for a in ordering:
                 above[a][s] += u
                 s |= bit[a]
-    _subset_sums(above.values(), bit.values())
+    _subset_sums(above.values())
     table = {
         (y, menu): Fraction(above[y][full ^ sum(map(bit.__getitem__, menu))], d)
         for menu in enumerate_menus(alts)
         for y in menu
     }
     return RumInstance(alternatives=alts, choice=table)
-
-
-def _p0_vector(inst: RumInstance, matrix: ChoiceMatrix) -> list[Fraction]:
-    return [inst.probability(y, menu) for y, menu in matrix.pairs]
 
 
 def _min_eps_with_stakes(
@@ -406,7 +423,8 @@ def _min_eps_with_stakes(
     matrix = build_matrix(inst)
     columns = list(zip(*matrix.rows))
     eps, pi, error, stakes = _l1_fit(
-        _p0_vector(inst, matrix), columns, (range(len(columns)),)
+        [inst.choice[pair] for pair in matrix.pairs], columns,
+        (range(len(columns)),),
     )
     report = RumReport(
         kind="additive", epsilon_min=eps, pi=pi, error=error
@@ -434,9 +452,10 @@ def _best_ordering_total(
     bit = _bits(inst.alternatives)
     size = 1 << len(bit)
     w = {a: [0] * size for a in bit}
-    for (y, menu), tag in zip(matrix.pairs, t):
-        w[y][sum(map(bit.__getitem__, menu))] += tag
-    _subset_sums(w.values(), bit.values())
+    masks = inst._masks
+    for pair, tag in zip(matrix.pairs, t):
+        w[pair[0]][masks[pair]] += tag
+    _subset_sums(w.values())
     value = [0] * size
     for r in range(1, size):
         value[r] = max(
@@ -452,13 +471,15 @@ def _tag_sides(
     eps: object,
 ) -> tuple[Fraction, list[int], Fraction, int]:
     """Shared prelude of the two evaluators: the parsed slack, the tags,
-    the observed success total ``sum p0_i t_i`` (one integer sum over
-    the common denominator d) and the best-ordering total."""
+    the observed success total ``sum p0_i t_i`` (one integer dot product
+    with the instance's numerators) and the best-ordering total."""
     tol = parse_rational(eps)
     t = list(tags)
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
-    lhs = _dot(t, _p0_vector(inst, matrix))
+    rows, masks = inst._rows, inst._masks
+    nums = [rows[pair[0]][masks[pair]] for pair in matrix.pairs]
+    lhs = Fraction(sum(map(operator.mul, t, nums)), inst._den)
     return tol, t, lhs, _best_ordering_total(inst, matrix, t)
 
 
@@ -469,14 +490,11 @@ def evaluate_arsp(
     eps: object,
 ) -> tuple[Fraction, Fraction]:
     """Sides of the tagged-trials inequality at slack *eps*: observed
-    success total versus best-ordering total plus ``width * eps / 2``.
-    The condition holds when lhs <= rhs for every tag vector.  The
-    best-ordering total is a subset DP over the matrix's pairs, O(n^2 2^n)
-    steps (``_best_ordering_total``), not a scan of its n! columns."""
+    success total versus best-ordering total (``_best_ordering_total``)
+    plus ``width * eps / 2``.  The condition holds when lhs <= rhs for
+    every tag vector."""
     tol, t, lhs, best = _tag_sides(inst, matrix, tags, eps)
-    width = max(t) - min(t)
-    rhs = best + Fraction(width) * tol / 2
-    return lhs, rhs
+    return lhs, best + Fraction(max(t) - min(t)) * tol / 2
 
 
 def evaluate_arsp_star(
@@ -486,21 +504,16 @@ def evaluate_arsp_star(
     eps: object,
 ) -> tuple[Fraction, Fraction]:
     """Sides of the residual-variant inequality: observed total versus
-    ``(1 - eps) * best ordering + (2^n - 1) * eps * max tag``, with the
-    best ordering found by the same O(n^2 2^n) subset DP as
-    ``evaluate_arsp``."""
+    ``(1 - eps) * best ordering + (2^n - 1) * eps * max tag``."""
     tol, t, lhs, best = _tag_sides(inst, matrix, tags, eps)
     n_menus = (1 << len(inst.alternatives)) - 1
-    rhs = (1 - tol) * best + n_menus * tol * max(t)
-    return lhs, rhs
+    return lhs, (1 - tol) * best + n_menus * tol * max(t)
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
     ints = _int_row(values)[0]
     g = math.gcd(*ints)
-    if g > 1:
-        ints = [t // g for t in ints]
-    return ints
+    return [t // g for t in ints] if g > 1 else ints
 
 
 def check_eps_arsp(
@@ -510,8 +523,7 @@ def check_eps_arsp(
 
     Returns None when every integer tag vector satisfies the inequality
     (equivalently, the additive level is at most eps).  Otherwise builds
-    a violating tag vector from the optimal dual stakes
-    (``_arsp_certificate``).
+    a violating tag vector from the optimal dual stakes (``_arsp_check``).
     """
     return _arsp_check(inst, eps)[0]
 
@@ -520,30 +532,20 @@ def _arsp_check(
     inst: RumInstance, eps: object
 ) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
     """``check_eps_arsp`` with the additive report and the matrix it
-    was decided on."""
+    was decided on.  The certificate is the stakes shifted to be
+    nonnegative, cleared of denominators and reduced by the gcd, and it
+    is verified to violate strictly by substitution."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     report, matrix, stakes = _min_eps_with_stakes(inst)
     if report.epsilon_min <= tol:
         return None, report, matrix
-    return _arsp_certificate(inst, matrix, stakes, tol), report, matrix
-
-
-def _arsp_certificate(
-    inst: RumInstance,
-    matrix: ChoiceMatrix,
-    stakes: Sequence[Fraction],
-    tol: Fraction,
-) -> TaggedTrialSequence:
-    """Shift the stakes to be nonnegative, clear denominators, reduce by
-    the gcd, and verify the strict violation by substitution."""
-    tags = _clear_denominators(_unit_shift(stakes))
-    cert = TaggedTrialSequence(tags=tuple(tags))
+    cert = TaggedTrialSequence(tags=tuple(_clear_denominators(_unit_shift(stakes))))
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("tag certificate fails to violate")
-    return cert
+    return cert, report, matrix
 
 
 def rum_residual_min_eps(inst: RumInstance) -> RumReport:
@@ -561,7 +563,7 @@ def _residual_fit(
     plus residual mass reproduce the choice function) and
     ``sum mu + eps = 1``; minimize eps.  Returns the report and the
     optimal duals y of the pair rows."""
-    p0 = _p0_vector(inst, matrix)
+    p0 = [inst.choice[pair] for pair in matrix.pairs]
     m = len(matrix.pairs)
     n_ord = len(matrix.orderings)
     nvars = n_ord + m + 1
@@ -585,9 +587,7 @@ def _residual_fit(
     eps = sol.objective_value
     mu = sol.primal[:n_ord]
     rho = sol.primal[n_ord : n_ord + m]
-    pi = None
-    if eps != 1:
-        pi = tuple(v / (1 - eps) for v in mu)
+    pi = tuple(v / (1 - eps) for v in mu) if eps != 1 else None
     residual = None
     if eps != 0:
         residual = tuple(v / eps for v in rho)

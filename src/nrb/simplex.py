@@ -475,12 +475,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
 
+    # Fractions only for nonzero values; an unshifted +1 column is read as is
     x_std = [zero] * n_std
     for k in range(m):
-        if basis[k] < n_std:
+        if basis[k] < n_std and rows[k][-1]:
             x_std[basis[k]] = Fraction(rows[k][-1], dens[k])
     primal = tuple(
-        sum((sign * x_std[col] for col, sign in pl), base[j])
+        x_std[pl[0][0]] if len(pl) == 1 and pl[0][1] > 0 and not base[j]
+        else sum((sign * x_std[col] for col, sign in pl), base[j])
         for j, pl in enumerate(places)
     )
 
@@ -490,7 +492,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     obj, oden = rows[m], dens[m]
     sense = -1 if minimize else 1
     dual = tuple(
-        Fraction(sense * sign * obj[ic], oden)
+        Fraction(sense * sign * obj[ic], oden) if obj[ic] else zero
         for sign, ic in zip(row_signs, ident_col)
     )
     s, _, d = _weighted_rows(lp, dual)
@@ -500,7 +502,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         primal=primal,
         dual=dual,
         reduced_costs=tuple(
-            Fraction(c * d - v * c_den, c_den * d) for c, v in zip(c_ints, s)
+            Fraction(r, c_den * d) if (r := c * d - v * c_den) else zero
+            for c, v in zip(c_ints, s)
         ),
     )
     verify_optimal(lp, solution)
@@ -525,25 +528,32 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     n = lp.n_variables
     minimize = lp.sense == MINIMIZE
 
+    # All comparisons run in integers: x_j is x_ints[j] / x_den, row i's
+    # sides below are times den_i * x_den, and numerators carry the signs.
+    x_ints, x_den = _int_row(x)
+
+    def above(j: int, bound: Fraction) -> int:  # the sign of x_j - bound
+        return x_ints[j] * bound.denominator - bound.numerator * x_den
+
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
-        _check(lo is None or x[j] >= lo, f"variable {j} below lower bound")
-        _check(up is None or x[j] <= up, f"variable {j} above upper bound")
-    x_ints, x_den = _int_row(x)  # row i's sides below are times den_i * x_den
+        _check(lo is None or above(j, lo) >= 0, f"variable {j} below lower bound")
+        _check(up is None or above(j, up) <= 0, f"variable {j} above upper bound")
     for i, (pairs, rel, b, _) in enumerate(lp._int_rows):
         lhs = sum(a * x_ints[j] for j, a in pairs)
         rhs = b * x_den
+        y_i = y[i].numerator if minimize else -y[i].numerator
         if rel == LESS_EQUAL:
             _check(lhs <= rhs, f"constraint {i} violated")
-            ok = y[i] <= 0 if minimize else y[i] >= 0
+            ok = y_i <= 0
         elif rel == GREATER_EQUAL:
             _check(lhs >= rhs, f"constraint {i} violated")
-            ok = y[i] >= 0 if minimize else y[i] <= 0
+            ok = y_i >= 0
         else:
             _check(lhs == rhs, f"constraint {i} violated")
             ok = True
         _check(ok, f"dual multiplier {i} has the wrong sign")
-        _check(y[i] == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
+        _check(y_i == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
 
     # c_j - s_j / d is r_j / (c_den * d).  Each r_j x_j is r_j times the
     # bound it pins x_j to, or zero.
@@ -556,13 +566,12 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
         _check(r.numerator * c_den * d == r_j * r.denominator,
                f"reduced cost {j} inconsistent with duals")
         lo, up = lp.lower[j], lp.upper[j]
-        at_lower = r > 0 if minimize else r < 0
-        at_upper = r < 0 if minimize else r > 0
-        if at_lower:
-            _check(lo is not None and x[j] == lo,
+        r_sign = r.numerator if minimize else -r.numerator
+        if r_sign > 0:
+            _check(lo is not None and above(j, lo) == 0,
                    f"variable {j}: reduced cost pins it to an absent lower bound")
-        elif at_upper:
-            _check(up is not None and x[j] == up,
+        elif r_sign < 0:
+            _check(up is not None and above(j, up) == 0,
                    f"variable {j}: reduced cost pins it to an absent upper bound")
         bound_term += r_j * x_ints[j]
 

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nrb import (
     CapExceededError,
+    ChoiceMatrix,
     CredalSet,
     InputError,
     PointSpace,
@@ -17,6 +18,7 @@ from nrb import (
     RumInstance,
     TaggedTrialSequence,
     bm_negative_norm,
+    bm_polynomials,
     build_matrix,
     check_eps_arsp,
     check_eps_arsp_star,
@@ -33,8 +35,9 @@ from nrb import (
     rum_residual_min_eps,
 )
 from nrb import duality, rum
+from nrb.duality import _dot
 from nrb.errors import InternalCheckError
-from nrb.simplex import EQUAL, LinearProgram, LpSolution, solve_lp
+from nrb.simplex import EQUAL, LinearProgram, LpSolution, _int_row, solve_lp
 from tests.conftest import random_rationalizable_rum, random_rum
 from tests.test_duality import (
     _assert_same_program,
@@ -742,6 +745,171 @@ def test_validation_matches_reference_at_seven():
         assert inst.alternatives == alts
         assert list(inst.choice.items()) == list(want.items())
         assert all(type(p) is F for p in inst.choice.values())
+
+
+def _assert_integer_table(inst):
+    """The instance's integer table: every pair's numerator over the
+    common denominator is its probability, at its menu's bitmask, the
+    pairs run in enumeration order, and off-menu entries are zero."""
+    alts = inst.alternatives
+    bit = {a: 1 << i for i, a in enumerate(alts)}
+    assert list(inst._masks) == [
+        (y, menu) for menu in enumerate_menus(alts) for y in menu
+    ]
+    assert type(inst._den) is int and inst._den > 0
+    assert list(inst._rows) == list(alts)
+    for (y, menu), p in inst.choice.items():
+        mask = sum(bit[a] for a in menu)
+        assert inst._masks[y, menu] == mask
+        num = inst._rows[y][mask]
+        assert type(num) is int and F(num, inst._den) == p
+    for y, row in inst._rows.items():
+        assert len(row) == 1 << len(alts)
+        assert not any(v for mask, v in enumerate(row) if not mask & bit[y])
+
+
+def _hash_outcome(inst):
+    try:
+        return hash(inst)
+    except TypeError as exc:  # the choice mapping is a dict
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_choice_tables(), st.data())
+def test_integer_table_matches_the_choice_table(drawn, data):
+    """On every valid drawn table the integer table reads back the
+    probabilities, and the same table spelled differently (menus
+    permuted, values respelled, same key order) compares and hashes
+    equal and has the same repr."""
+    alts, entries = drawn
+    try:
+        inst = RumInstance(alternatives=alts, choice=dict(entries))
+    except (InputError, TypeError):  # a corrupted draw: nothing to read
+        assume(False)
+    _assert_integer_table(inst)
+    respelled = {
+        (y, tuple(data.draw(st.permutations(menu)))):
+            _spell(data.draw, parse_rational(value))
+        for (y, menu), value in dict(entries).items()
+    }
+    other = RumInstance(alternatives=alts, choice=respelled)
+    assert other == inst
+    assert _hash_outcome(other) == _hash_outcome(inst)
+    assert repr(other) == repr(inst)
+    assert (other._den, other._rows, other._masks) == (
+        inst._den, inst._rows, inst._masks
+    )
+
+
+def test_integer_table_of_mixtures_with_mixed_denominators():
+    """``instance_from_mixture`` tables at n = 1..5, weights over
+    denominators 1 to 12 on a few orderings."""
+    for n in range(1, 6):
+        alts = tuple("edcba"[:n])
+        n_ord = len(enumerate_orderings(alts))
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)
+            raw = [F(0)] * n_ord
+            for j in rng.sample(range(n_ord), min(n_ord, 5)):
+                raw[j] = F(rng.randrange(1, 10), rng.choice((1, 2, 3, 5, 7, 12)))
+            total = sum(raw)
+            _assert_integer_table(
+                instance_from_mixture(alts, [w / total for w in raw])
+            )
+
+
+def _bm_polynomials_reference(inst):
+    """``bm_polynomials`` as it was before the instance kept its integer
+    table: mask sums over the pairs and one ``_int_row`` over them."""
+    bit = {a: 1 << i for i, a in enumerate(inst.alternatives)}
+    size = 1 << len(bit)
+    pairs = [(y, menu) for menu in enumerate_menus(inst.alternatives)
+             for y in menu]
+    masks = [sum(map(bit.__getitem__, menu)) for _, menu in pairs]
+    nums, den = _int_row([inst.choice[pair] for pair in pairs])
+    k = {a: [0] * size for a in bit}
+    for (y, _), mask, num in zip(pairs, masks, nums):
+        k[y][mask] = num
+    for row in k.values():
+        for b in bit.values():
+            for r in range(size):
+                if not r & b:
+                    row[r] -= row[r | b]
+    return {
+        (y, menu): F(k[y][mask], den)
+        for (y, menu), mask in zip(pairs, masks)
+    }
+
+
+def _evaluate_reference(inst, matrix, tags, eps, star):
+    """``evaluate_arsp`` / ``evaluate_arsp_star`` as they were: the
+    observed total by ``_dot`` over the looked-up probabilities, and the
+    subset DP on mask sums of the matrix's pairs."""
+    tol = parse_rational(eps)
+    t = list(tags)
+    lhs = _dot(t, [inst.choice[pair] for pair in matrix.pairs])
+    bit = {a: 1 << i for i, a in enumerate(inst.alternatives)}
+    size = 1 << len(bit)
+    w = {a: [0] * size for a in bit}
+    for (y, menu), tag in zip(matrix.pairs, t):
+        w[y][sum(map(bit.__getitem__, menu))] += tag
+    for row in w.values():
+        for b in bit.values():
+            for r in range(size):
+                if r & b:
+                    row[r] += row[r ^ b]
+    value = [0] * size
+    for r in range(1, size):
+        value[r] = max(
+            w[a][r] + value[r ^ b] for a, b in bit.items() if r & b
+        )
+    best = value[-1]
+    if star:
+        return lhs, (1 - tol) * best + (size - 1) * tol * max(t)
+    return lhs, best + F(max(t) - min(t)) * tol / 2
+
+
+def test_sums_and_scores_match_the_reference_implementations():
+    """On 40 random tables at n=3 and n=4 and an n=6 mixture, the
+    Block-Marschak sums (values, order and types), their negative mass
+    and both tag scores equal the references, with the matrix's pairs
+    shuffled for scoring."""
+    cases = []
+    for n in (3, 4):
+        for seed in range(20):
+            rng = random.Random(seed)
+            cases.append(
+                (rng, random_rum(rng, n, denom=rng.choice((1, 7, 20, 36))))
+            )
+    rng = random.Random(6)
+    weights = [F(0)] * 720
+    for j in rng.sample(range(720), 9):
+        weights[j] = F(1, 9)
+    cases.append((rng, instance_from_mixture("abcdef", weights)))
+    for rng, inst in cases:
+        got, want = bm_polynomials(inst), _bm_polynomials_reference(inst)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is F for v in got.values())
+        assert bm_negative_norm(inst) == sum(
+            (-v for v in want.values() if v < 0), F(0)
+        )
+        order = list(range(len(inst.pairs())))
+        rng.shuffle(order)
+        matrix = build_matrix(inst)
+        shuffled = ChoiceMatrix(
+            pairs=tuple(matrix.pairs[i] for i in order),
+            orderings=matrix.orderings,
+        )
+        for _ in range(3):
+            t = [rng.randrange(6) for _ in order]
+            eps = F(rng.randrange(11), 10)
+            assert evaluate_arsp(inst, shuffled, t, eps) == (
+                _evaluate_reference(inst, shuffled, t, eps, star=False)
+            )
+            assert evaluate_arsp_star(inst, shuffled, t, eps) == (
+                _evaluate_reference(inst, shuffled, t, eps, star=True)
+            )
 
 
 def test_tag_vector_validation():
