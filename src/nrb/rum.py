@@ -26,23 +26,30 @@ level below the residual optimum.  The returned tag vector violates the
 inequality strictly, and is verified by substitution before being
 returned.
 
-``RumInstance`` validates a table in one pass over its keys, checking
-each distinct menu and parsing each distinct probability string once.
-It keeps the checked table, outside the dataclass fields (so ``==``,
-``hash``, ``repr`` and ``choice`` are as before), as integers over one
-common denominator ``_den``: ``_rows[y][mask]`` is y's numerator on the
-menu with that bitmask (bit i for ``alternatives[i]``, 0 off the menu),
-and ``_masks`` maps each pair to its mask in ``pairs()`` order.  Menu
-sums are checked on these integers, and the Block-Marschak sums and the
-observed totals of the tag scores read them as they are.
+The menu domain over an alternatives tuple (each alternative's bit, the
+menus with their bitmasks, the pairs in ``pairs()`` order and each pair's
+mask and position) is built once per tuple and shared, read only, by
+every table over it (``_layout``, a small cache keyed by the tuple, never
+by table content).  ``RumInstance`` validates a table in one pass over
+its keys: a canonical key is one lookup in the layout, a respelled menu
+is checked and canonicalised once per call, and each distinct probability
+string is parsed once.  It keeps the checked table, outside the dataclass
+fields (so ``==``, ``hash``, ``repr`` and ``choice`` are as before), as
+integers over one common denominator ``_den``: ``_rows[y][mask]`` is y's
+numerator on the menu with that bitmask (bit i for ``alternatives[i]``, 0
+off the menu), and ``_masks``, the layout's, maps each pair to its mask
+in ``pairs()`` order.  Menu sums are checked on these integers, and the
+Block-Marschak sums and the observed totals of the tag scores read them
+as they are.
 
-``build_matrix`` returns the pairs and the orderings; the matrix's n!-wide
-rows are built on first read.  Scoring a tag vector (``evaluate_arsp``,
-``evaluate_arsp_star``) reads no rows: a subset DP finds the best single
-ordering in O(n^2 2^n) steps.  The approximation programs read the rows,
-so the alternative count is capped: 7 by default, or the value of the
-``NRB_MAX_ALTERNATIVES`` environment variable.  The cap is decided in
-``enumerate_orderings``, the only function taking an explicit ``cap=``.
+``build_matrix`` returns the pairs and the orderings, both the layout's;
+the matrix's n!-wide rows are built on first read.  Scoring a tag vector
+(``evaluate_arsp``, ``evaluate_arsp_star``) reads no rows: a subset DP
+finds the best single ordering in O(n^2 2^n) steps.  The approximation
+programs read the rows, so the alternative count is capped: 7 by
+default, or the value of the ``NRB_MAX_ALTERNATIVES`` environment
+variable.  The cap is decided in ``enumerate_orderings`` on every call,
+and it is the only function taking an explicit ``cap=``.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .duality import _l1_fit, _unit_shift
@@ -118,14 +126,85 @@ def enumerate_orderings(
 ) -> tuple[tuple[str, ...], ...]:
     """All strict orderings (best alternative first), lexicographic by
     position in the alternative list.  Refuses above *cap*, by default
-    ``max_alternatives()``."""
-    n = len(alternatives)
+    ``max_alternatives()``, on every call; below it, orderings of strings
+    come from the shared layout, so they are enumerated once per tuple."""
+    alts = tuple(alternatives)
     limit = cap if cap is not None else max_alternatives()
-    if n > limit:
+    if len(alts) > limit:
         raise CapExceededError(
-            f"{n} alternatives exceed the enumeration cap of {limit}"
+            f"{len(alts)} alternatives exceed the enumeration cap of {limit}"
         )
-    return tuple(itertools.permutations(alternatives))
+    if all(type(a) is str for a in alts):  # 1 == 1.0 would share a layout
+        return _layout(alts).orderings
+    return tuple(itertools.permutations(alts))
+
+
+_Pair = tuple[str, tuple[str, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The full menu domain over one alternatives tuple, shared by every
+    table over it (``_layout``) and read only: frozen, its maps
+    ``MappingProxyType`` views and its sequences tuples.
+
+    ``bit[a]`` is a's bit in a menu bitmask, by list position.  ``pairs``
+    lists the (alternative, menu) pairs in ``pairs()`` order, ``masks``
+    maps each to its menu's bitmask in that order and ``index`` to its
+    position.  ``menus`` lists each menu with its mask and the range of
+    positions of its pairs, in ``enumerate_menus`` order, and
+    ``by_mask[mask]`` is that menu.  ``slots[i][mask]`` is the position
+    of ``(alternatives[i], menu)``, or ``len(pairs)`` off the menu.  The
+    n! ``orderings`` are built on first read."""
+
+    alternatives: tuple[str, ...]
+    bit: Mapping[str, int]
+    pairs: tuple[_Pair, ...]
+    masks: Mapping[_Pair, int]
+    index: Mapping[_Pair, int]
+    menus: tuple[tuple[tuple[str, ...], int, range], ...]
+    by_mask: tuple[tuple[str, ...], ...]
+    slots: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def orderings(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(itertools.permutations(self.alternatives))
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(alternatives: tuple[str, ...]) -> _Layout:
+    """The layout of the alternatives tuple, built once while it stays
+    among the last 8 tuples used: keyed by the tuple alone, so a batch or
+    a loop over tables on the same alternatives builds it once."""
+    n = len(alternatives)
+    pairs: list[_Pair] = []
+    masks: dict[_Pair, int] = {}
+    menus = []
+    by_mask: list[tuple[str, ...]] = [()] * (1 << n)
+    off = n << n >> 1  # n 2^(n-1), the number of pairs
+    slots = [[off] * (1 << n) for _ in alternatives]
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            menu = tuple(alternatives[i] for i in combo)
+            mask = sum(1 << i for i in combo)
+            by_mask[mask] = menu
+            start = len(pairs)
+            for i in combo:
+                slots[i][mask] = len(pairs)
+                pair = (alternatives[i], menu)
+                masks[pair] = mask
+                pairs.append(pair)
+            menus.append((menu, mask, range(start, len(pairs))))
+    return _Layout(
+        alternatives=alternatives,
+        bit=MappingProxyType({a: 1 << i for i, a in enumerate(alternatives)}),
+        pairs=tuple(pairs),
+        masks=MappingProxyType(masks),
+        index=MappingProxyType({p: i for i, p in enumerate(pairs)}),
+        menus=tuple(menus),
+        by_mask=tuple(by_mask),
+        slots=tuple(map(tuple, slots)),
+    )
 
 
 @dataclass(frozen=True)
@@ -136,10 +215,12 @@ class RumInstance:
     alternative being chosen from that menu.  Menus are tuples in the
     order of ``alternatives``; the constructor canonicalizes and demands
     a complete table: every pair present, nothing extra, menu rows
-    summing to one.  It makes one pass over the keys, then one integer
-    sum per menu; the first check a table fails names the problem.
+    summing to one.  It makes one pass over the keys, looking each up in
+    the shared menu layout of the alternatives, then sums every menu's
+    integers at once; the first check a table fails names the problem.
     It keeps the checked table as integers, outside the fields (see the
-    module docstring)."""
+    module docstring), and pickles by its fields, rebuilt through the
+    constructor."""
 
     alternatives: tuple[str, ...]
     choice: Mapping[tuple[str, tuple[str, ...]], Fraction]
@@ -151,85 +232,93 @@ class RumInstance:
         if len(set(alts)) != len(alts):
             raise InputError("alternatives must be distinct")
         object.__setattr__(self, "alternatives", alts)
-        bit = _bits(alts)
-        # menu as given -> its canonical order and bitmask, once the menu
-        # has passed the unknown-alternative and repetition checks
-        canonical: dict[tuple, tuple[tuple[str, ...], int]] = {}
-        # only strings are memoised: others go to parse_rational, so a float
-        # still raises InputError and an unhashable value is never a key
-        parsed: dict[str, Fraction] = {}
-        dens: set[int] = set()
-        table: dict[tuple[str, tuple[str, ...]], Fraction] = {}
-        # rows[y][mask]: y's probability on the menu with that bitmask, a
-        # Fraction until the common denominator is known; int 0 if absent
-        rows = {a: [0] * (1 << len(alts)) for a in alts}
+        layout = _layout(alts)
+        bit, pairs, position = layout.bit, layout.pairs, layout.index.get
+        # a menu spelled other than canonically -> its canonical menu, once
+        # it has passed the unknown-alternative and repetition checks; kept
+        # per call, never in the shared layout
+        respelled: dict[tuple, tuple[str, ...]] = {}
+        # each distinct probability once, by index; only strings are
+        # memoised: others go to parse_rational, so a float still raises
+        # InputError and an unhashable value is never a key
+        values: list[Fraction] = []
+        parsed: dict[str, int] = {}
+        table: dict[_Pair, Fraction] = {}
+        # flat[i]: index in values of pair i (pairs() order), -1 if absent;
+        # the extra last slot stays -1 for the off-menu entries of the rows
+        flat = [-1] * (len(pairs) + 1)
         for key, value in dict(self.choice).items():
-            try:
-                y, menu = key
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bad choice key {key!r}") from exc
-            menu = tuple(menu)
-            hit = canonical.get(menu)
-            if hit is None:
+            i = position(key)  # the keys are hashable: they were dict keys
+            if i is None:
                 try:
-                    mask = sum(map(bit.__getitem__, menu))
-                except KeyError:
-                    mask = None
-                if mask is None or y not in bit:
-                    raise InputError(f"unknown alternative in {key!r}")
-                # a repeated bit carries, so the mask has fewer bits set
-                if mask.bit_count() != len(menu):
-                    raise InputError(f"menu {menu!r} repeats an alternative")
-                canon = tuple(sorted(menu, key=bit.__getitem__))
-                hit = canonical[menu] = canon, mask
-            canon, mask = hit
-            if y not in canon:
-                if y not in bit:
-                    raise InputError(f"unknown alternative in {key!r}")
-                raise InputError(f"{y!r} is not on the menu {menu!r}")
-            prob = parsed.get(value) if type(value) is str else None
-            if prob is None:
+                    y, menu = key
+                except (TypeError, ValueError) as exc:
+                    raise InputError(f"bad choice key {key!r}") from exc
+                menu = tuple(menu)
+                canon = respelled.get(menu)
+                if canon is None:
+                    try:
+                        mask = sum(map(bit.__getitem__, menu))
+                    except KeyError:
+                        mask = None
+                    if mask is None or y not in bit:
+                        raise InputError(f"unknown alternative in {key!r}")
+                    # a repeated bit carries, so the mask has fewer bits set
+                    if mask.bit_count() != len(menu):
+                        raise InputError(
+                            f"menu {menu!r} repeats an alternative"
+                        )
+                    canon = respelled[menu] = layout.by_mask[mask]
+                i = position((y, canon))
+                if i is None:
+                    if y not in bit:
+                        raise InputError(f"unknown alternative in {key!r}")
+                    raise InputError(f"{y!r} is not on the menu {menu!r}")
+            k = parsed.get(value) if type(value) is str else None
+            if k is None:
                 prob = parse_rational(value)
                 if prob.numerator < 0:
                     raise InputError(f"negative probability at {key!r}")
+                k = len(values)
+                values.append(prob)
                 if type(value) is str:
-                    parsed[value] = prob
-                dens.add(prob.denominator)
-            count = len(table)
-            table[y, canon] = prob
-            if len(table) == count:
-                raise InputError(f"duplicate entry for {(y, canon)!r}")
-            rows[y][mask] = prob
-        # The keys are now distinct canonical pairs.  Each menu in turn gets
-        # integer entries, and its sum is checked while no pair is missing.
-        den = math.lcm(*dens)
-        masks: dict[tuple[str, tuple[str, ...]], int] = {}
-        missing = []
-        menu_masks = itertools.chain.from_iterable(
-            map(sum, itertools.combinations(bit.values(), size))
-            for size in range(1, len(alts) + 1)
-        )
-        for menu, mask in zip(enumerate_menus(alts), menu_masks):
-            total = 0
-            for y in menu:
-                prob = rows[y][mask]
-                if type(prob) is int:
-                    missing.append((y, menu))
-                    continue
-                rows[y][mask] = num = prob.numerator * (den // prob.denominator)
-                total += num
-                masks[y, menu] = mask
-            if not missing and total != den:
-                raise InputError(
-                    f"choice probabilities on menu {menu!r} sum to "
-                    f"{Fraction(total, den)}"
-                )
-        if missing:
+                    parsed[value] = k
+            if flat[i] >= 0:
+                raise InputError(f"duplicate entry for {pairs[i]!r}")
+            table[pairs[i]] = values[k]
+            flat[i] = k
+        # The keys are now distinct canonical pairs.  Each row, indexed by
+        # mask, takes its integers over the common denominator (0 where a
+        # pair is off the menu or absent), and every menu's sum is read off
+        # the rows at once.  Only a table with a missing pair or a bad sum
+        # walks the menus in order, so that the first fault is named.
+        den = math.lcm(*{p.denominator for p in values})
+        nums = [p.numerator * (den // p.denominator) for p in values]
+        nums.append(0)  # for the index -1
+        rows = {
+            a: list(map(nums.__getitem__, map(flat.__getitem__, slots)))
+            for a, slots in zip(alts, layout.slots)
+        }
+        totals = list(map(sum, zip(*rows.values())))
+        if len(table) != len(pairs) or totals.count(den) != len(totals) - 1:
+            missing = []
+            for menu, mask, span in layout.menus:
+                missing += [pairs[i] for i in span if flat[i] < 0]
+                if not missing and totals[mask] != den:
+                    raise InputError(
+                        f"choice probabilities on menu {menu!r} sum to "
+                        f"{Fraction(totals[mask], den)}"
+                    )
             raise InputError(f"missing choice entries: {missing}")
         object.__setattr__(self, "choice", table)
+        object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_masks", layout.masks)
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the shared layout is not pickled
+        return type(self), (self.alternatives, self.choice)
 
     @property
     def n_alternatives(self) -> int:
@@ -241,7 +330,7 @@ class RumInstance:
     def pairs(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Row order of every matrix and report: menus as enumerated,
         alternatives in list order within each menu."""
-        return tuple(self._masks)
+        return self._layout.pairs
 
     def probability(self, y: str, menu: tuple[str, ...]) -> Fraction:
         return self.choice[(y, menu)]
@@ -296,11 +385,11 @@ class ChoiceMatrix:
 
         # two passes: every menu's winners first, rows only once the
         # memo is gone, so the large row tuples do not interleave with it
-        bit, full = _bits(alternatives), (1 << n) - 1
+        masks, full = _layout(alternatives).masks, (1 << n) - 1
         wins: dict[tuple[str, ...], bytes] = {}
-        for _, menu in self.pairs:
-            if menu not in wins:
-                wins[menu] = winners(sum(map(bit.__getitem__, menu)), full)
+        for pair in self.pairs:
+            if pair[1] not in wins:
+                wins[pair[1]] = winners(masks[pair], full)
         memo.clear()
         flags = {
             a: bytes(i) + b"\x01" + bytes(255 - i)
@@ -355,11 +444,6 @@ def build_matrix(inst: RumInstance) -> ChoiceMatrix:
     return ChoiceMatrix(pairs=inst.pairs(), orderings=orderings)
 
 
-def _bits(alternatives: Sequence[str]) -> dict[str, int]:
-    """Bit of each alternative in a menu bitmask, by list position."""
-    return {a: 1 << i for i, a in enumerate(alternatives)}
-
-
 def _subset_sums(rows: Iterable[list[int]], combine=operator.add) -> None:
     """Zeta transform in place: each row, indexed by bitmask, ends up
     holding at each mask the sum over its subsets, or with ``operator.sub``
@@ -396,8 +480,8 @@ def instance_from_mixture(
     # favorite on a menu when no member of S is on it, so the pair's
     # mass sums above[y] over the subsets of the menu's complement.
     units, d = _int_row(w)
-    bit = _bits(alts)
-    full = (1 << len(alts)) - 1
+    layout = _layout(alts)
+    bit, full = layout.bit, (1 << len(alts)) - 1
     above = {a: [0] * (full + 1) for a in alts}
     for u, ordering in zip(units, orderings):
         if u:
@@ -407,9 +491,8 @@ def instance_from_mixture(
                 s |= bit[a]
     _subset_sums(above.values())
     table = {
-        (y, menu): Fraction(above[y][full ^ sum(map(bit.__getitem__, menu))], d)
-        for menu in enumerate_menus(alts)
-        for y in menu
+        pair: Fraction(above[pair[0]][full ^ mask], d)
+        for pair, mask in layout.masks.items()
     }
     return RumInstance(alternatives=alts, choice=table)
 
@@ -449,9 +532,9 @@ def _best_ordering_total(
     and the menus without a are left to the orderings of ``R - a``.
     ``w`` is a zeta (subset-sum) transform of the tags, so the whole
     step is O(n^2 2^n) exact additions."""
-    bit = _bits(inst.alternatives)
-    size = 1 << len(bit)
-    w = {a: [0] * size for a in bit}
+    bits = tuple(inst._layout.bit.items())
+    size = 1 << len(bits)
+    w = {a: [0] * size for a, _ in bits}
     masks = inst._masks
     for pair, tag in zip(matrix.pairs, t):
         w[pair[0]][masks[pair]] += tag
@@ -459,7 +542,7 @@ def _best_ordering_total(
     value = [0] * size
     for r in range(1, size):
         value[r] = max(
-            w[a][r] + value[r ^ b] for a, b in bit.items() if r & b
+            w[a][r] + value[r ^ b] for a, b in bits if r & b
         )
     return value[-1]
 

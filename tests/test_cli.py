@@ -381,6 +381,45 @@ def test_batch_merges_and_takes_worst_exit(capsys, tmp_path, credal_path):
     assert "error" in reports[1]
 
 
+def _skewed_rum_doc(alternatives, favored):
+    """Each menu's member at position *favored* (mod its size) gets
+    2/(k+1), the others 1/(k+1), on a menu of k."""
+    choice = {}
+    for menu in enumerate_menus(alternatives):
+        k = len(menu)
+        for i, y in enumerate(menu):
+            share = F(2 if i == favored % k else 1, k + 1)
+            choice[f"{y}|{','.join(menu)}"] = str(share)
+    return {"kind": "rum", "alternatives": alternatives, "choice": choice}
+
+
+@pytest.mark.parametrize("command", [["rum", "min-eps"], ["rum", "bm"]])
+def test_batch_rum_reports_match_single_runs(capsys, tmp_path, command):
+    """Two tables over the same alternatives and one over them reordered
+    report in a batch as they do alone, but for command and timing."""
+    paths = []
+    for name, alts, favored in (
+        ("first", ["a", "b", "c"], 0),
+        ("second", ["a", "b", "c"], 1),
+        ("reordered", ["c", "a", "b"], 1),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_skewed_rum_doc(alts, favored)))
+        paths.append(str(path))
+    listfile = tmp_path / "batch.txt"
+    listfile.write_text("\n".join(paths) + "\n")
+    code, batch = _capture_json(capsys, ["--batch", str(listfile), *command])
+    assert code == 0 and len(batch) == len(paths)
+    shown = {json.dumps(r["representation"]) for r in batch}
+    for report, path in zip(batch, paths):
+        code, single = _capture_json(capsys, [*command, path])
+        assert code == 0
+        for r in (report, single):
+            del r["timing_ms"], r["command"]
+        assert report == single
+    assert len(shown) == len(paths)
+
+
 def test_oversized_integer_is_an_input_error(capsys, tmp_path, credal_path):
     """An integer past the interpreter's digit limit is refused as bad
     input (exit 2 with an error field), alone and inside a batch."""

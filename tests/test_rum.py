@@ -1,6 +1,8 @@
 """Random-utility approximation levels and tagged-trial certificates."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -934,26 +936,20 @@ def test_alternatives_cap(monkeypatch):
     assert len(enumerate_orderings(("1", "2", "3", "4"), cap=4)) == 24
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        build_matrix,
+_CAP_ENTRY_POINTS = {
+    "build_matrix": build_matrix,
+    "instance_from_mixture":
         lambda inst: instance_from_mixture(inst.alternatives, ["1/24"] * 24),
-        rum_min_eps,
-        rum_residual_min_eps,
-        lambda inst: check_eps_arsp(inst, 0),
-        lambda inst: check_eps_arsp_star(inst, 0),
-        hoffman_ratio,
-    ],
-    ids=[
-        "build_matrix",
-        "instance_from_mixture",
-        "rum_min_eps",
-        "rum_residual_min_eps",
-        "check_eps_arsp",
-        "check_eps_arsp_star",
-        "hoffman_ratio",
-    ],
+    "rum_min_eps": rum_min_eps,
+    "rum_residual_min_eps": rum_residual_min_eps,
+    "check_eps_arsp": lambda inst: check_eps_arsp(inst, 0),
+    "check_eps_arsp_star": lambda inst: check_eps_arsp_star(inst, 0),
+    "hoffman_ratio": hoffman_ratio,
+}
+
+
+@pytest.mark.parametrize(
+    "call", list(_CAP_ENTRY_POINTS.values()), ids=list(_CAP_ENTRY_POINTS)
 )
 def test_cap_holds_through_every_entry_point(
     monkeypatch, skewed_triples, call
@@ -968,6 +964,204 @@ def test_cap_holds_through_every_entry_point(
     ):
         call(skewed_triples)
     assert solved == [[], []]
+
+
+@pytest.mark.parametrize(
+    "call", list(_CAP_ENTRY_POINTS.values()), ids=list(_CAP_ENTRY_POINTS)
+)
+def test_cap_holds_once_the_layout_holds_the_orderings(
+    monkeypatch, skewed_triples, call
+):
+    """With the 4-alternative layout warm, its 24 orderings already
+    built under the default cap, the environment cap of 3 still refuses
+    at every entry point before any program is built."""
+    alts = skewed_triples.alternatives
+    assert len(build_matrix(skewed_triples).rows[0]) == 24
+    assert "orderings" in vars(rum._layout(alts))
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(kwargs)
+        return LinearProgram(*args, **kwargs)
+
+    for module in (rum, duality):
+        monkeypatch.setattr(module, "LinearProgram", record)
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", "3")
+    with pytest.raises(
+        CapExceededError, match="4 alternatives exceed the enumeration cap of 3"
+    ):
+        call(skewed_triples)
+    assert built == []
+    assert rum._layout(alts).orderings == tuple(itertools.permutations(alts))
+
+
+# ---------------------------------------------------------------------------
+# the shared menu layout
+
+
+def _layout_snapshot(layout):
+    """Plain copies of every part of a layout."""
+    return (
+        layout.alternatives, list(layout.bit.items()), layout.pairs,
+        list(layout.masks.items()), list(layout.index.items()),
+        layout.menus, layout.by_mask, layout.slots,
+    )
+
+
+def test_tables_on_one_alternatives_tuple_share_one_layout():
+    """Two tables over the same alternatives hold the same layout, and
+    a from-scratch build reads the same pairs, masks and rows."""
+    first = random_rum(random.Random(1), 4)
+    second = random_rum(random.Random(2), 4)
+    assert first._layout is second._layout
+    assert first._masks is second._masks is first._layout.masks
+    assert first.pairs() is second.pairs()
+    assert build_matrix(first).orderings is build_matrix(second).orderings
+    rum._layout.cache_clear()
+    again = random_rum(random.Random(1), 4)
+    assert again._layout is not first._layout
+    assert again.pairs() == first.pairs()
+    assert list(again._masks.items()) == list(first._masks.items())
+    assert again._rows == first._rows
+    _assert_integer_table(again)
+    assert _layout_snapshot(again._layout) == _layout_snapshot(first._layout)
+    assert again._layout.orderings == tuple(
+        itertools.permutations(first.alternatives)
+    )
+
+
+def test_layout_maps_are_read_only(skewed_triples):
+    layout = skewed_triples._layout
+    pair = skewed_triples.pairs()[0]
+    for mapping, key in (
+        (skewed_triples._masks, pair), (layout.index, pair),
+        (layout.bit, "1"),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = 0
+        with pytest.raises(TypeError):
+            del mapping[key]
+    with pytest.raises(AttributeError):
+        layout.pairs = ()
+    assert type(layout.pairs) is tuple and type(layout.slots) is tuple
+
+
+# message -> the key and its new value (None: dropped); a key not in the
+# backwards-spelled table is added in front of it
+_FAULTS = {
+    "unknown alternative": (("z", ("a",)), "1"),
+    "repeats an alternative": (("a", ("a", "a")), "1"),
+    "is not on the menu": (("c", ("b", "a")), "0"),
+    "negative probability": (("a", ("c", "a")), "-1/2"),
+    "duplicate entry": (("b", ("a", "b")), "1/2"),
+    "sum to": (("a", ("c", "a")), "1/3"),
+    "missing choice entries": (("b", ("c", "b", "a")), None),
+}
+
+
+@pytest.mark.parametrize("fault", [None, *_FAULTS], ids=str)
+def test_respelled_and_faulty_tables_leave_the_layout_unchanged(fault):
+    """A table with every menu spelled backwards, alone or with one
+    fault of each kind, writes nothing into the shared layout."""
+    alts = ("a", "b", "c")
+    base = instance_from_mixture(alts, ["1/6"] * 6)
+    table = {
+        (y, menu[::-1]): str(p) for (y, menu), p in base.choice.items()
+    }
+    if fault is not None:
+        key, value = _FAULTS[fault]
+        if value is None:
+            del table[key]
+        elif key in table:
+            table[key] = value
+        else:
+            table = {key: value, **table}
+    layout = rum._layout(alts)
+    before = _layout_snapshot(layout)
+    if fault is None:
+        inst = RumInstance(alternatives=alts, choice=table)
+        assert inst == base and inst._layout is layout
+    else:
+        with pytest.raises(InputError, match=fault):
+            RumInstance(alternatives=alts, choice=table)
+    assert rum._layout(alts) is layout
+    assert _layout_snapshot(layout) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(_choice_tables())
+def test_drawn_tables_leave_the_layout_unchanged(drawn):
+    alts, entries = drawn
+    layout = rum._layout(alts)
+    before = _layout_snapshot(layout)
+    try:
+        RumInstance(alternatives=alts, choice=dict(entries))
+    except (InputError, TypeError):
+        pass
+    assert rum._layout(alts) is layout
+    assert _layout_snapshot(layout) == before
+
+
+def test_reordered_alternatives_get_their_own_layout():
+    ab, ba = rum._layout(("a", "b")), rum._layout(("b", "a"))
+    assert ab is not ba
+    assert dict(ab.bit) == {"a": 1, "b": 2}
+    assert dict(ba.bit) == {"b": 1, "a": 2}
+    assert ab.masks[("a", ("a",))] == 1 and ba.masks[("a", ("a",))] == 2
+    assert ab.pairs == (
+        ("a", ("a",)), ("b", ("b",)), ("a", ("a", "b")), ("b", ("a", "b")),
+    )
+    assert ba.pairs == (
+        ("b", ("b",)), ("a", ("a",)), ("b", ("b", "a")), ("a", ("b", "a")),
+    )
+    table = {("a", ("a",)): 1, ("b", ("b",)): 1,
+             ("a", ("a", "b")): "1/3", ("b", ("b", "a")): "2/3"}
+    one = RumInstance(alternatives=("a", "b"), choice=table)
+    two = RumInstance(alternatives=("b", "a"), choice=table)
+    assert (one._layout, two._layout) == (ab, ba)
+    assert one._rows["a"][3] * two._den == two._rows["a"][3] * one._den
+
+
+def test_enumerate_orderings_keeps_non_string_alternatives_apart():
+    """Equal but differently typed alternatives never share orderings."""
+    assert enumerate_orderings((1, 2)) == ((1, 2), (2, 1))
+    got = enumerate_orderings((1.0, 2.0))
+    assert got == ((1.0, 2.0), (2.0, 1.0))
+    assert all(type(a) is float for ordering in got for a in ordering)
+
+
+def test_work_on_one_table_leaves_another_unchanged():
+    """Sums, scores and both programs on one instance leave another
+    instance over the same alternatives, its rows and the layout as
+    they were."""
+    worked = random_rum(random.Random(11), 4)
+    other = random_rum(random.Random(12), 4)
+    def state(inst):
+        return (list(inst.pairs()), list(inst._masks.items()),
+                copy.deepcopy(inst._rows), _layout_snapshot(inst._layout))
+
+    before = state(other)
+    matrix = build_matrix(worked)
+    bm_polynomials(worked)
+    bm_negative_norm(worked)
+    tags = list(range(len(matrix.pairs)))
+    evaluate_arsp(worked, matrix, tags, F(1, 10))
+    evaluate_arsp_star(worked, matrix, tags, F(1, 10))
+    rum_min_eps(worked)
+    rum_residual_min_eps(worked)
+    assert state(other) == before
+
+
+def test_instances_pickle_and_copy_through_the_constructor(skewed_triples):
+    for copied in (
+        pickle.loads(pickle.dumps(skewed_triples)),
+        copy.deepcopy(skewed_triples),
+        copy.copy(skewed_triples),
+    ):
+        assert copied == skewed_triples
+        assert copied._layout is rum._layout(copied.alternatives)
+        assert copied.pairs() == skewed_triples.pairs()
+        assert copied._rows == skewed_triples._rows
 
 
 def test_deterministic_tables_rationalizable_iff_consistent():
