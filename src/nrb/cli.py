@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring as _encode_str
 from typing import Optional, Sequence
 
 from .blockmarschak import _negative_mass, _ratio, bm_polynomials
@@ -61,6 +62,7 @@ from .rum import (
     RumReport,
     _arsp_check,
     _arsp_star_check,
+    _layout,
     build_matrix,
     enumerate_orderings,
     evaluate_arsp,
@@ -150,29 +152,34 @@ def _parse_rum(doc: dict) -> RumInstance:
     raw = _require(doc, "choice", where)
     if not isinstance(raw, dict):
         raise InputError("choice must be an object keyed 'y|menu'")
+    alts, n = tuple(alts), len(alts)
+    # A key spelled as the shared layout spells it is one lookup; any
+    # other key is split, with the same checks in the same order.  The
+    # layout is read only for a table with as many keys as it has pairs,
+    # so a short document over many alternatives never builds one.
+    pair_of = _layout(alts).pair_of if len(raw) == n << n >> 1 else {}
     table = {}
     menus: dict[str, tuple[str, ...]] = {}  # each menu string split once
     for key, value in raw.items():
-        if "|" not in key:
-            raise InputError(f"choice key {key!r} lacks the 'y|menu' separator")
-        y, menu_part = key.split("|", 1)
-        menu = menus.get(menu_part)
-        if menu is None:
-            menu = menus[menu_part] = tuple(filter(None, menu_part.split(",")))
-        if not menu:
-            raise InputError(f"choice key {key!r} names an empty menu")
-        if (y, menu) in table:
+        pair = pair_of.get(key)
+        if pair is None:
+            if "|" not in key:
+                raise InputError(
+                    f"choice key {key!r} lacks the 'y|menu' separator"
+                )
+            y, menu_part = key.split("|", 1)
+            menu = menus.get(menu_part)
+            if menu is None:
+                menu = menus[menu_part] = tuple(
+                    filter(None, menu_part.split(","))
+                )
+            if not menu:
+                raise InputError(f"choice key {key!r} names an empty menu")
+            pair = (y, menu)
+        if pair in table:
             raise InputError(f"duplicate choice key {key!r}")
-        table[(y, menu)] = value
-    return RumInstance(alternatives=tuple(alts), choice=table)
-
-
-def _pair_key(y: str, menu: tuple[str, ...]) -> str:
-    return f"{y}|{','.join(menu)}"
-
-
-def _ordering_key(ordering: tuple[str, ...]) -> str:
-    return ",".join(ordering)
+        table[pair] = value
+    return RumInstance(alternatives=alts, choice=table)
 
 
 def _pool_representation(report: PoolingReport) -> dict:
@@ -189,32 +196,36 @@ def _pool_representation(report: PoolingReport) -> dict:
 
 
 def _rum_representation(inst: RumInstance, report: RumReport) -> dict:
+    """The nonzero entries of the report's vectors, keyed by ordering
+    (``"a,b,c"``) or by the layout's pair keys (``"y|a,b"``); an
+    ordering's key is joined only for a nonzero weight."""
     rep: dict = {"kind": report.kind}
-    for name in ("pi", "error", "residual"):
-        values = getattr(report, name)
-        if values is None:
-            continue
-        if name == "pi":
-            keys = map(_ordering_key, enumerate_orderings(inst.alternatives))
-        else:
-            keys = (_pair_key(y, menu) for y, menu in inst.pairs())
-        rep[name] = {
-            key: format_rational(v) for key, v in zip(keys, values) if v != 0
+    if report.pi is not None:
+        orderings = enumerate_orderings(inst.alternatives)
+        rep["pi"] = {
+            ",".join(o): format_rational(v)
+            for o, v in zip(orderings, report.pi) if v != 0
         }
+    for name in ("error", "residual"):
+        values = getattr(report, name)
+        if values is not None:
+            rep[name] = {
+                key: format_rational(v)
+                for key, v in zip(inst._layout.keys, values) if v != 0
+            }
     return rep
 
 
 def _tag_certificate(inst: RumInstance, matrix, cert, eps, star: bool) -> dict:
-    """Re-verify a violating tag vector on *matrix* and render it."""
+    """Re-verify a violating tag vector on *matrix*, ``build_matrix(inst)``,
+    and render it keyed by the layout's pair keys, in the matrix's order."""
     evaluate = evaluate_arsp_star if star else evaluate_arsp
     lhs, rhs = evaluate(inst, matrix, cert.tags, eps)
     if not lhs > rhs:
         raise InternalCheckError("trial certificate fails re-verification")
     return {
         "tags": {
-            _pair_key(y, menu): t
-            for (y, menu), t in zip(matrix.pairs, cert.tags)
-            if t
+            key: t for key, t in zip(inst._layout.keys, cert.tags) if t
         },
         "width": cert.width,
         "lhs": format_rational(lhs),
@@ -384,10 +395,9 @@ def _cmd_rum_bm(args, doc: dict) -> tuple[dict, int]:
     body: dict = {"verdict": "value"}
     _put_scalar(body, "value", norm)
     body["representation"] = {
-        "bm": {
-            _pair_key(y, menu): format_rational(v)
-            for (y, menu), v in polys.items()
-        },
+        "bm": dict(
+            zip(inst._layout.keys, map(format_rational, polys.values()))
+        ),
         "negative_norm": format_rational(norm),
         "hoffman_ratio": None if ratio is None else format_rational(ratio),
     }
@@ -424,6 +434,43 @@ def _cmd_verify(args, doc: dict) -> tuple[dict, int]:
         inst, build_matrix(inst), cert, eps, star=False
     )
     return body, EXIT_VIOLATED
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte,
+    for the types a report holds: dicts with string keys, lists, strings,
+    ints, bools and None.  ``json.dumps`` takes its pure-Python encoder
+    whenever it indents; this joins strings from the C string encoder.
+    *indent* is a newline and the indentation of the line the value
+    starts on."""
+    if type(value) is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return repr(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = [
+            _encode_str(k) + ": "
+            + (_encode_str(v) if type(v) is str else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
 def _render_text(report: dict, out) -> None:
@@ -586,7 +633,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reports = [report for report, _ in runs]
     if args.format == "json":
         shown = reports if args.batch else reports[0]
-        print(json.dumps(shown, indent=2, ensure_ascii=False))
+        print(_json_text(shown))
     else:
         for report in reports:
             head = _headline(report)

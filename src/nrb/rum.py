@@ -155,7 +155,8 @@ class _Layout:
     positions of its pairs, in ``enumerate_menus`` order, and
     ``by_mask[mask]`` is that menu.  ``slots[i][mask]`` is the position
     of ``(alternatives[i], menu)``, or ``len(pairs)`` off the menu.  The
-    n! ``orderings`` are built on first read."""
+    n! ``orderings``, the ``"y|menu"`` ``keys`` of the pairs and the
+    ``pair_of`` map back from those keys are built on first read."""
 
     alternatives: tuple[str, ...]
     bit: Mapping[str, int]
@@ -169,6 +170,24 @@ class _Layout:
     @functools.cached_property
     def orderings(self) -> tuple[tuple[str, ...], ...]:
         return tuple(itertools.permutations(self.alternatives))
+
+    @functools.cached_property
+    def keys(self) -> tuple[str, ...]:
+        """Each pair as the document key ``"y|a,b"``, in ``pairs`` order."""
+        keys = []
+        for menu, _, _ in self.menus:
+            joined = "|" + ",".join(menu)
+            keys += [y + joined for y in menu]
+        return tuple(keys)
+
+    @functools.cached_property
+    def pair_of(self) -> Mapping[str, _Pair]:
+        """The pair of each of ``keys``, for a parser to read without
+        splitting: empty when an alternative is empty or holds ``|`` or
+        ``,``, since such a key would not split back into its pair."""
+        if any(not a or "|" in a or "," in a for a in self.alternatives):
+            return MappingProxyType({})
+        return MappingProxyType(dict(zip(self.keys, self.pairs)))
 
 
 @functools.lru_cache(maxsize=8)

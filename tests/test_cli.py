@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrb import InputError, InternalCheckError, RumInstance, enumerate_menus
+from nrb import (
+    InputError,
+    InternalCheckError,
+    RumInstance,
+    bm_polynomials,
+    enumerate_menus,
+)
 from nrb import cli
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
 from tests.conftest import _warp_cycle_instance
@@ -274,6 +280,173 @@ def test_rum_keys_with_repeated_menus_parse_and_fail_in_key_order():
         with pytest.raises(InputError) as info:
             cli._parse_rum(doc)
         assert str(info.value) == message
+
+
+def _split_parse_rum(doc: dict) -> RumInstance:
+    """The RUM parser as it was before the shared layout's key map: every
+    key split at its first ``|`` and its menu at each ``,``."""
+    table = {}
+    for key, value in doc["choice"].items():
+        if "|" not in key:
+            raise InputError(f"choice key {key!r} lacks the 'y|menu' separator")
+        y, menu_part = key.split("|", 1)
+        menu = tuple(filter(None, menu_part.split(",")))
+        if not menu:
+            raise InputError(f"choice key {key!r} names an empty menu")
+        if (y, menu) in table:
+            raise InputError(f"duplicate choice key {key!r}")
+        table[(y, menu)] = value
+    return RumInstance(alternatives=tuple(doc["alternatives"]), choice=table)
+
+
+def _parse_outcome(parse, doc):
+    """The parsed table with its key order, or the InputError message."""
+    try:
+        inst = parse(doc)
+    except InputError as exc:
+        return str(exc)
+    return list(inst.choice.items())
+
+
+def _spelled_table(alternatives, spell):
+    """Every pair of the full domain, each share 1/k on a menu of k,
+    keyed as *spell(y, menu)* writes it."""
+    return {
+        spell(y, menu): str(F(1, len(menu)))
+        for menu in enumerate_menus(alternatives)
+        for y in menu
+    }
+
+
+def _canonical(y, menu):
+    return f"{y}|{','.join(menu)}"
+
+
+# documents whose keys the layout's map must not read, or must read as
+# the split does: alternatives holding the separators or empty, respelled
+# menus, and keys that name one pair twice
+_KEY_DOCUMENTS = {
+    "bar in an alternative": (["a|b", "c"], _canonical),
+    "comma in an alternative": (["a,b", "c"], _canonical),
+    "lone comma": ([",", "c"], _canonical),
+    "empty alternative": (["", "c"], _canonical),
+    "bar and comma spelled as other pairs": (
+        ["a", "b", "a|a", "a,b"], _canonical
+    ),
+    "reversed menus": (["a", "b", "c"], lambda y, m: _canonical(y, m[::-1])),
+    "padded menus": (["a", "b"], lambda y, m: f"{y}|,{','.join(m)},"),
+    "non-ASCII and spaces": (["é", "b c", " "], _canonical),
+    "repeated alternatives": (["a", "a"], _canonical),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEY_DOCUMENTS))
+def test_rum_keys_parse_as_split_keys_do(capsys, tmp_path, name):
+    """Each document parses to the same table in the same key order, or
+    fails with the same message, as when every key is split; a table
+    that parses reports the same Block-Marschak map, keyed as before."""
+    alternatives, spell = _KEY_DOCUMENTS[name]
+    choice = _spelled_table(alternatives, spell)
+    # one pair also under a padded spelling, in place of the last key, so
+    # that the table still has as many keys as the layout has pairs
+    menu = next(m for m in enumerate_menus(alternatives) if len(m) > 1)
+    twice = dict(choice)
+    twice.popitem()
+    twice[f"{menu[0]}|{','.join(menu)},"] = "0"
+    for choice in (choice, twice):
+        doc = {"kind": "rum", "alternatives": alternatives, "choice": choice}
+        expected = _parse_outcome(_split_parse_rum, doc)
+        assert _parse_outcome(cli._parse_rum, doc) == expected, choice
+        if isinstance(expected, str):
+            continue
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, report = _capture_json(capsys, ["rum", "bm", str(path)])
+        bm = bm_polynomials(_split_parse_rum(doc))
+        assert code == 0
+        assert list(report["representation"]["bm"].items()) == [
+            (_canonical(y, m), str(v)) for (y, m), v in bm.items()
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alternatives=st.lists(
+        st.sampled_from(("a", "b", "c", "", "|", ",", "a|b", "b,c", "é")),
+        min_size=1, max_size=3,
+    ),
+    data=st.data(),
+)
+def test_drawn_rum_keys_parse_as_split_keys_do(alternatives, data):
+    """Drawn alternatives, separators among them, under keys spelled
+    canonically or with the menu reversed or padded by commas, some
+    dropped or added twice: the parse matches the split one, table or
+    message."""
+    spellings = (
+        _canonical,
+        lambda y, m: _canonical(y, m[::-1]),
+        lambda y, m: f"{y}|{','.join(m)},",
+        lambda y, m: f"{y}|,{','.join(m)}",
+    )
+    choice = {}
+    for menu in enumerate_menus(alternatives):
+        for y in menu:
+            for _ in range(data.draw(st.sampled_from((1, 1, 1, 0, 2)))):
+                spell = data.draw(st.sampled_from(spellings))
+                choice[spell(y, menu)] = str(F(1, len(menu)))
+    doc = {"kind": "rum", "alternatives": alternatives, "choice": choice}
+    assert _parse_outcome(cli._parse_rum, doc) == _parse_outcome(
+        _split_parse_rum, doc
+    )
+
+
+def test_rum_parse_reads_the_layout_only_for_a_full_sized_table(monkeypatch):
+    """A table with fewer keys than its alternatives have pairs is split
+    key by key, so a short document over 40 alternatives is refused
+    without laying out their 2^40 menus."""
+    seen = []
+    monkeypatch.setattr(cli, "_layout", lambda alts: seen.append(alts))
+    alternatives = [f"x{i}" for i in range(40)]
+    doc = {"kind": "rum", "alternatives": alternatives, "choice": {"x0": "1"}}
+    with pytest.raises(InputError, match="lacks the 'y|menu' separator"):
+        cli._parse_rum(doc)
+    assert seen == []
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.sampled_from(
+        ('"', "\\", '\\"', "\x00", "\x1f", "\x7f", "\n\t\r\b\f",
+         "  ", "é", "‖e‖₁", "\U0001f600", "", " ")
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.recursive(
+        _json_scalars,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(st.text() | _json_scalars.filter(
+            lambda v: isinstance(v, str)), inner, max_size=5),
+        max_leaves=30,
+    )
+)
+def test_report_emitter_writes_json_dumps_bytes(value):
+    assert cli._json_text(value) == json.dumps(
+        value, indent=2, ensure_ascii=False
+    )
+
+
+def test_report_emitter_on_empty_containers():
+    for value in ({}, [], {"a": {}}, {"a": []}, [[], {}], [[[]]]):
+        assert cli._json_text(value) == json.dumps(
+            value, indent=2, ensure_ascii=False
+        )
 
 
 def test_cap_exit_code(capsys, tmp_path):

@@ -1046,6 +1046,23 @@ def test_layout_maps_are_read_only(skewed_triples):
     assert type(layout.pairs) is tuple and type(layout.slots) is tuple
 
 
+def test_layout_keys_spell_the_pairs():
+    """``keys`` spells each pair as a document does, in ``pairs`` order;
+    ``pair_of`` maps them back, read only, unless an alternative is
+    empty or holds a separator."""
+    layout = rum._layout(("a", "b c", "é"))
+    assert layout.keys == tuple(
+        f"{y}|{','.join(menu)}" for y, menu in layout.pairs
+    )
+    assert list(layout.pair_of.items()) == list(zip(layout.keys, layout.pairs))
+    with pytest.raises(TypeError):
+        layout.pair_of["a|a"] = ("b c", ("b c",))
+    for alts in (("a", ""), ("a", "b|c"), ("a,b", "c")):
+        layout = rum._layout(alts)
+        assert len(layout.keys) == len(layout.pairs)
+        assert dict(layout.pair_of) == {}
+
+
 # message -> the key and its new value (None: dropped); a key not in the
 # backwards-spelled table is added in front of it
 _FAULTS = {
