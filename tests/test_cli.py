@@ -408,21 +408,21 @@ def test_rum_parse_reads_the_layout_only_for_a_full_sized_table(monkeypatch):
     monkeypatch.setattr(cli, "_layout", lambda alts: seen.append(alts))
     alternatives = [f"x{i}" for i in range(40)]
     doc = {"kind": "rum", "alternatives": alternatives, "choice": {"x0": "1"}}
-    with pytest.raises(InputError, match="lacks the 'y|menu' separator"):
+    with pytest.raises(InputError, match=r"lacks the 'y\|menu' separator"):
         cli._parse_rum(doc)
     assert seen == []
 
 
+_json_strings = st.text() | st.sampled_from(
+    ('"', "\\", '\\"', "\x00", "\x1f", "\x7f", "\n\t\r\b\f", "  ", "é",
+     "‖e‖₁", "\U0001f600", "", " ")
+)
 _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.text()
-    | st.sampled_from(
-        ('"', "\\", '\\"', "\x00", "\x1f", "\x7f", "\n\t\r\b\f",
-         "  ", "é", "‖e‖₁", "\U0001f600", "", " ")
-    )
+    | _json_strings
 )
 
 
@@ -431,8 +431,7 @@ _json_scalars = (
     value=st.recursive(
         _json_scalars,
         lambda inner: st.lists(inner, max_size=5)
-        | st.dictionaries(st.text() | _json_scalars.filter(
-            lambda v: isinstance(v, str)), inner, max_size=5),
+        | st.dictionaries(_json_strings, inner, max_size=5),
         max_leaves=30,
     )
 )
