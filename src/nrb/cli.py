@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from typing import Optional, Sequence
 
-from .blockmarschak import _negative_mass, _ratio, bm_polynomials
+from .blockmarschak import _ZERO, _negative_mass, _ratio, bm_polynomials
 from .duality import (
     Proximity,
     Separation,
@@ -394,10 +394,11 @@ def _cmd_rum_bm(args, doc: dict) -> tuple[dict, int]:
     ratio = _ratio(inst, norm)
     body: dict = {"verdict": "value"}
     _put_scalar(body, "value", norm)
+    # the zero sums, most of them, are one shared Fraction: format it once
+    zero = format_rational(_ZERO)
+    bm = [zero if v is _ZERO else format_rational(v) for v in polys.values()]
     body["representation"] = {
-        "bm": dict(
-            zip(inst._layout.keys, map(format_rational, polys.values()))
-        ),
+        "bm": dict(zip(inst._layout.keys, bm)),
         "negative_norm": format_rational(norm),
         "hoffman_ratio": None if ratio is None else format_rational(ratio),
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
@@ -23,6 +24,7 @@ from .simplex import (
     LESS_EQUAL,
     OPTIMAL,
     LinearProgram,
+    _int_row,
     solve_lp,
 )
 
@@ -105,7 +107,11 @@ class PointSpace:
 
 
 def _weights_tuple(space: PointSpace, values: Iterable[object]) -> tuple[Fraction, ...]:
-    w = tuple(parse_rational(v) for v in values)
+    """*values* as a tuple of ``Fraction``, parsing only when some value
+    is not one already."""
+    w = tuple(values)
+    if not {*map(type, w)} <= {Fraction}:
+        w = tuple(map(parse_rational, w))
     if len(w) != space.size:
         raise InputError(
             f"expected {space.size} weights, got {len(w)}"
@@ -115,18 +121,28 @@ def _weights_tuple(space: PointSpace, values: Iterable[object]) -> tuple[Fractio
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A probability vector: nonnegative weights summing to one."""
+    """A probability vector: nonnegative weights summing to one.
+
+    It also keeps its weights as integers ``_ints`` over one common
+    denominator ``_den``, outside the dataclass fields (so ``==``,
+    ``hash`` and ``repr`` read ``weights`` alone).  Both checks run on
+    those integers, and ``expectation`` reads them."""
 
     space: PointSpace
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         w = _weights_tuple(self.space, self.weights)
-        if any(v < 0 for v in w):
+        ints, den = _int_row(w)
+        if min(ints) < 0:
             raise InputError("probabilities must be nonnegative")
-        if sum(w) != 1:
-            raise InputError(f"probabilities must sum to 1, got {sum(w)}")
+        if sum(ints) != den:
+            raise InputError(
+                f"probabilities must sum to 1, got {Fraction(sum(ints), den)}"
+            )
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
 
     def weight(self, label: str) -> Fraction:
         return self.weights[self.space.index(label)]
@@ -157,7 +173,9 @@ class SignedVector:
 @dataclass(frozen=True)
 class StakesVector:
     """A payoff function on the points.  ``norm`` is the sup norm and is
-    recomputed from the values, never trusted from input."""
+    recomputed from the values, never trusted from input.  Like
+    ``ProbVector`` it keeps its values as integers ``_ints`` over one
+    denominator ``_den``, outside the fields."""
 
     space: PointSpace
     values: tuple[Fraction, ...]
@@ -165,8 +183,11 @@ class StakesVector:
 
     def __post_init__(self) -> None:
         vals = _weights_tuple(self.space, self.values)
+        ints, den = _int_row(vals)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "norm", max(abs(v) for v in vals))
+        object.__setattr__(self, "norm", Fraction(max(map(abs, ints)), den))
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
 
     def value(self, label: str) -> Fraction:
         return self.values[self.space.index(label)]
@@ -290,10 +311,11 @@ def oscillation(f: StakesVector) -> Fraction:
 
 
 def expectation(f: StakesVector, p: ProbVector) -> Fraction:
-    """Expected payoff ``sum_x f(x) p(x)``."""
+    """Expected payoff ``sum_x f(x) p(x)``, one integer dot product of
+    the two integer forms."""
     if f.space != p.space:
         raise InputError("stakes and probabilities on different spaces")
-    return sum((a * b for a, b in zip(f.values, p.weights)), _ZERO)
+    return Fraction(sum(map(mul, f._ints, p._ints)), f._den * p._den)
 
 
 def point_space_to_json(space: PointSpace) -> dict:
@@ -326,4 +348,4 @@ def vector_to_json(values: Sequence[Fraction]) -> list[str]:
 def prob_vector_from_json(space: PointSpace, arr: object) -> ProbVector:
     if not isinstance(arr, list):
         raise InputError("probability vector must be an array")
-    return ProbVector(space=space, weights=tuple(parse_rational(v) for v in arr))
+    return ProbVector(space=space, weights=tuple(map(parse_rational, arr)))

@@ -72,28 +72,38 @@ class GridSpec:
 def _solve_square(
     matrix: list[list[Fraction]], rhs: list[Fraction]
 ) -> Optional[list[Fraction]]:
-    """Unique solution of a square rational system, or None if singular."""
+    """Unique solution of a square rational system, or None if singular.
+
+    Each row is scaled to integers, and the elimination is fraction-free
+    Gauss-Jordan (Bareiss): with pivot p and the previous pivot prev,
+    every other row becomes ``(p * row - f * pivot_row) / prev``, which
+    divides exactly.  The pivot is the first nonzero entry at or below
+    the diagonal.  At the end every diagonal entry is the last pivot."""
     n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
+    aug = []
+    for coeffs, b in zip(matrix, rhs):
+        row = [*coeffs, b]
+        den = math.lcm(*(v.denominator for v in row))
+        aug.append([v.numerator * (den // v.denominator) for v in row])
+    prev = 1
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            if aug[r][col] != 0:
+            if aug[r][col]:
                 pivot = r
                 break
         if pivot is None:
             return None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [
-                    a - factor * b for a, b in zip(aug[r], aug[col])
-                ]
-    return [aug[i][n] for i in range(n)]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], top)]
+        prev = p
+    return [Fraction(row[n], prev) for row in aug]
 
 
 def vertex_distance(p_set: CredalSet, q_set: CredalSet) -> Fraction:
@@ -295,21 +305,28 @@ def _scan_tags(
         )
     slope = d * a
     tags = [0] * m
-
-    def walk(i: int, fixed: list[int], hi: int, lo: int) -> bool:
-        for v in range(max_tag + 1):
-            sums = [f + c[i] * v for f, c in zip(fixed, coef)]
-            top, bottom = max(hi, v), min(lo, v)
-            bound = min(s + r for s, r in zip(sums, room[i]))
-            if bound <= slope * (top - bottom):
-                continue
-            tags[i] = v
-            if i == 0 or walk(i - 1, sums, top, bottom):
-                return True
-        return False
-
     # hi = 0 and lo = max_tag give the first fixed digit a width of 0
-    return tags if walk(m - 1, [0] * len(coef), 0, max_tag) else None
+    scan = (coef, room, slope, max_tag, tags)
+    return tags if _walk(scan, m - 1, [0] * len(coef), 0, max_tag) else None
+
+
+def _walk(scan: tuple, i: int, fixed: list[int], hi: int, lo: int) -> bool:
+    """``_scan_tags``'s walk over digit *i* and the digits below it,
+    given the ordering sums *fixed* and the tag range ``[lo, hi]`` of
+    the digits above; on a hit ``tags[: i + 1]`` holds its digits.  It
+    is a module function, not a closure, so a scan leaves no reference
+    cycle behind."""
+    coef, room, slope, max_tag, tags = scan
+    for v in range(max_tag + 1):
+        sums = [f + c[i] * v for f, c in zip(fixed, coef)]
+        top, bottom = max(hi, v), min(lo, v)
+        bound = min(s + r for s, r in zip(sums, room[i]))
+        if bound <= slope * (top - bottom):
+            continue
+        tags[i] = v
+        if i == 0 or _walk(scan, i - 1, sums, top, bottom):
+            return True
+    return False
 
 
 def _scan_tags_python(

@@ -7,6 +7,11 @@ float that looks like 0.4 is not the rational 2/5.  Accepted spellings:
 * ``Fraction`` instances and plain ``int``,
 * strings ``"a/b"``, ``"a"``, or a finite decimal such as ``"0.4"``
   (parsed exactly, so ``"0.4"`` becomes 2/5).
+
+A string is parsed exactly as ``Fraction(s.strip())`` parses it, or
+refused where that raises.  The common spelling, plain ASCII
+``[-]digits[/digits]``, skips ``Fraction``'s regular expression and is
+split and read by ``int``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,16 @@ def parse_rational(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # A plain ASCII "[-]digits[/digits]" is read by int; any other
+            # spelling goes to Fraction's own parser.  A zero denominator
+            # or an over-long digit string raises here either way.
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if value.isascii() and digits.isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit():
+                    return Fraction(int(num), int(den))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse {value!r} as a rational") from exc

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -110,6 +111,22 @@ class TestProbVector:
         with pytest.raises(InputError):
             ProbVector(_space(2), (F(3, 2), F(-1, 2)))
 
+    def test_refusals_keep_their_messages(self):
+        with pytest.raises(
+            InputError, match=r"^probabilities must be nonnegative$"
+        ):
+            ProbVector(_space(3), (F(-1, 2), F(1, 3), F(1, 3)))
+        with pytest.raises(
+            InputError, match=r"^probabilities must sum to 1, got 5/6$"
+        ):
+            ProbVector(_space(3), ("1/2", F(1, 3), 0))
+        with pytest.raises(
+            InputError, match=r"^probabilities must sum to 1, got 2$"
+        ):
+            ProbVector(_space(2), (1, 1))
+        with pytest.raises(InputError, match=r"^expected 3 weights, got 2$"):
+            ProbVector(_space(3), (F(1, 2), F(1, 2)))
+
     def test_event_probability(self):
         p = ProbVector(_space(3), (F(1, 2), F(1, 3), F(1, 6)))
         assert p.event_probability(("0", "2")) == F(2, 3)
@@ -148,6 +165,50 @@ def test_oscillation_and_expectation():
     p = ProbVector(sp, (F(1, 2), F(1, 4), F(1, 4)))
     assert oscillation(f) == 2
     assert expectation(f, p) == F(1, 4)
+
+
+@st.composite
+def _mixed_vectors(draw, n):
+    """A probability vector and a stakes vector on n points, with mixed
+    denominators and some zero entries."""
+    mass = draw(st.lists(
+        st.one_of(st.just(F(0)), rationals(max_num=30, max_den=12)),
+        min_size=n, max_size=n,
+    ))
+    if not any(mass):
+        mass[draw(st.integers(0, n - 1))] = F(1)
+    total = sum(mass)
+    stakes = draw(st.lists(
+        st.one_of(st.just(F(0)), st.builds(
+            F, st.integers(-40, 40), st.integers(1, 15)
+        )),
+        min_size=n, max_size=n,
+    ))
+    return (
+        ProbVector(_space(n), tuple(m / total for m in mass)),
+        StakesVector(_space(n), tuple(stakes)),
+    )
+
+
+@given(st.integers(1, 7).flatmap(_mixed_vectors))
+@settings(max_examples=150, deadline=None)
+def test_integer_forms_and_expectation_match_fractions(vectors):
+    p, f = vectors
+    for values, ints, den in ((p.weights, p._ints, p._den),
+                              (f.values, f._ints, f._den)):
+        assert type(den) is int and den > 0
+        assert [F(v, den) for v in ints] == list(values)
+    assert f.norm == max(abs(v) for v in f.values)
+    assert expectation(f, p) == sum(
+        (a * b for a, b in zip(f.values, p.weights)), F(0)
+    )
+
+
+def test_integer_forms_survive_copies():
+    p = ProbVector(_space(3), ("1/2", 0, F(1, 2)))
+    for other in (pickle.loads(pickle.dumps(p)), dataclasses.replace(p)):
+        assert other == p
+        assert (other._ints, other._den) == (p._ints, p._den) == ([1, 0, 1], 2)
 
 
 def test_hahn_split_reconstructs_and_is_disjoint():

@@ -1,5 +1,6 @@
 """The slow cross-checking implementations, tested against the fast ones."""
 
+import gc
 import random
 from fractions import Fraction as F
 
@@ -27,7 +28,7 @@ from nrb import (
     solve_lp,
     vertex_distance,
 )
-from nrb.oracle import _scan_tags_python, _best_choice_table
+from nrb.oracle import _best_choice_table, _scan_tags_python, _solve_square
 from nrb.simplex import LESS_EQUAL, GREATER_EQUAL, EQUAL, INFEASIBLE, OPTIMAL
 from tests.conftest import lattice_vectors, random_credal_set, random_rum
 
@@ -306,6 +307,80 @@ def _blend(inst, other, theta):
             for key in inst.choice
         },
     )
+
+
+def test_exhaustive_check_leaves_no_reference_cycle(warp_cycle):
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert exhaustive_rum_check(warp_cycle, 1, max_tag=1) is not None
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free square solve against a Fraction Gauss-Jordan
+
+
+def _reference_solve(matrix, rhs):
+    """Gauss-Jordan in ``Fraction`` with the same pivot choice: the first
+    nonzero entry at or below the diagonal."""
+    n = len(matrix)
+    aug = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+# mostly small entries and many zeros, so that singular systems and row
+# swaps are common
+_ENTRY = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 7))),
+)
+
+
+@st.composite
+def _square_systems(draw):
+    n = draw(st.integers(1, 5))
+    matrix = draw(st.lists(
+        st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    rhs = draw(st.lists(_ENTRY, min_size=n, max_size=n))
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_systems())
+def test_solve_square_matches_fraction_gauss_jordan(system):
+    matrix, rhs = system
+    assert _solve_square(matrix, rhs) == _reference_solve(matrix, rhs)
+
+
+def test_solve_square_swaps_rows_and_refuses_singular_systems():
+    # a zero on the diagonal until rows are swapped, twice
+    swap = [[F(0), F(1, 2), F(1)], [F(0), F(0), F(3)], [F(2, 3), F(1), F(0)]]
+    rhs = [F(1), F(-2), F(5, 7)]
+    x = _solve_square(swap, rhs)
+    assert x == _reference_solve(swap, rhs)
+    assert [sum(a * v for a, v in zip(row, x)) for row in swap] == rhs
+    assert _solve_square([[F(1), F(2)], [F(1, 2), F(1)]], [F(1), F(0)]) is None
+    assert _solve_square([[F(0), F(1)], [F(0), F(5)]], [F(1), F(5)]) is None
+    assert _solve_square([[F(0)]], [F(0)]) is None
+    assert _solve_square([[F(-3, 4)]], [F(1, 2)]) == [F(-2, 3)]
+    # integer entries, as brute_force_lp's unit rows may carry
+    assert _solve_square([[1, 1], [1, -1]], [F(3), F(1)]) == [2, 1]
 
 
 # ---------------------------------------------------------------------------

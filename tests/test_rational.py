@@ -77,3 +77,42 @@ def test_strings_parse_like_fraction(text):
 def test_non_rationals_raise_input_error(value):
     with pytest.raises(InputError):
         parse_rational(value)
+
+
+def _parses_as_fraction_does(text):
+    """``parse_rational(text)`` is ``Fraction(text.strip())``, and raises
+    ``InputError`` exactly where that raises."""
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == want
+
+
+@given(st.text(
+    # signs, ASCII digits, non-ASCII digits (Arabic-Indic three, fullwidth
+    # seven, superscript two), "/", ".", "e", "_" and whitespace
+    alphabet=st.sampled_from(list("-+0123456789٣７²/.eE_ \t\n")),
+    max_size=12,
+))
+def test_drawn_strings_parse_as_fraction_does(text):
+    _parses_as_fraction_does(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3/", "1/0", "-", "1/-2", "+1/2", "-0/5", "007/010", "1/2/3", "/2",
+    "--1", " -3/4", "٣/٤",
+])
+def test_spellings_parse_as_fraction_does(text):
+    _parses_as_fraction_does(text)
+
+
+def test_over_long_digit_strings_parse_as_fraction_does():
+    # past int's default digit limit where there is one, so int must
+    # raise inside parse_rational's try
+    digits = "1" * 5000
+    for text in (digits, "-" + digits, digits + "/3", "3/" + digits):
+        _parses_as_fraction_does(text)
