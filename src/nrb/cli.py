@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -632,17 +633,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_INPUT
     runs = [_run_one(args, path, argv) for path in paths]
     reports = [report for report, _ in runs]
-    if args.format == "json":
-        shown = reports if args.batch else reports[0]
-        print(_json_text(shown))
-    else:
-        for report in reports:
-            head = _headline(report)
-            if head:
-                sys.stdout.write(head + "\n")
-            _render_text(report, sys.stdout)
-            if args.batch:
-                sys.stdout.write("\n")
+    try:
+        if args.format == "json":
+            shown = reports if args.batch else reports[0]
+            print(_json_text(shown))
+        else:
+            for report in reports:
+                head = _headline(report)
+                if head:
+                    sys.stdout.write(head + "\n")
+                _render_text(report, sys.stdout)
+                if args.batch:
+                    sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early, as `| head` does: the runs are done and
+        # their codes stand.  The rest of the output goes to the null
+        # device, so the interpreter's final flush raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return max((code for _, code in runs), default=EXIT_OK)
 
 

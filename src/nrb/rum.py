@@ -28,19 +28,21 @@ returned.
 
 The menu domain over an alternatives tuple (each alternative's bit, the
 menus with their bitmasks, the pairs in ``pairs()`` order and each pair's
-mask and position) is built once per tuple and shared, read only, by
-every table over it (``_layout``, a small cache keyed by the tuple, never
-by table content).  ``RumInstance`` validates a table in one pass over
-its keys: a canonical key is one lookup in the layout, a respelled menu
-is checked and canonicalised once per call, and each distinct probability
-string is parsed once.  It keeps the checked table, outside the dataclass
-fields (so ``==``, ``hash``, ``repr`` and ``choice`` are as before), as
-integers over one common denominator ``_den``: ``_rows[y][mask]`` is y's
-numerator on the menu with that bitmask (bit i for ``alternatives[i]``, 0
-off the menu), and ``_masks``, the layout's, maps each pair to its mask
-in ``pairs()`` order.  Menu sums are checked on these integers, and the
-Block-Marschak sums and the observed totals of the tag scores read them
-as they are.
+mask and position, and the subcube orders of the pairs) is built once per
+tuple and shared, read only, by every table over it (``_layout``, a small
+cache keyed by the tuple, never by table content).  ``RumInstance``
+validates a table in one pass over its keys: a canonical key is one
+lookup in the layout, a respelled menu is checked and canonicalised once
+per call, and each distinct probability string is parsed once.  It keeps
+the checked table, outside the dataclass fields (so ``==``, ``hash``,
+``repr`` and ``choice`` are as before), as one integer per pair over one
+common denominator ``_den``: ``_nums[i]`` is the numerator of
+``pairs()[i]``, and ``_masks``, the layout's, maps each pair to its
+menu's bitmask (bit i for ``alternatives[i]``).  A menu's pairs are
+contiguous, so its sum is the sum of its span.  The Block-Marschak sums,
+the tag scores' best-ordering DP and ``instance_from_mixture`` gather the
+pairs into the layout's alternative-major subcube order, where one subset
+transform over a flat list serves every alternative at once.
 
 ``build_matrix`` returns the pairs and the orderings, both the layout's;
 the matrix's n!-wide rows are built on first read.  Scoring a tag vector
@@ -62,7 +64,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
@@ -153,10 +155,18 @@ class _Layout:
     maps each to its menu's bitmask in that order and ``index`` to its
     position.  ``menus`` lists each menu with its mask and the range of
     positions of its pairs, in ``enumerate_menus`` order, and
-    ``by_mask[mask]`` is that menu.  ``slots[i][mask]`` is the position
-    of ``(alternatives[i], menu)``, or ``len(pairs)`` off the menu.  The
-    n! ``orderings``, the ``"y|menu"`` ``keys`` of the pairs and the
-    ``pair_of`` map back from those keys are built on first read."""
+    ``by_mask[mask]`` is that menu.
+
+    The pairs also run in an alternative-major subcube order: block i
+    holds the 2^(n-1) menus that contain ``alternatives[i]``, each at
+    its mask with bit i squeezed out (the bits above i shift down one).
+    ``cube[k]`` is the position in ``pairs`` of the pair at place k of
+    that order, so a subset transform over the blocks sums each pair
+    over its submenus.  ``cocube`` is the same with every block indexed
+    by the complement of the squeezed mask, so the same transform sums
+    over supermenus, and ``cocube_index[i]`` is the place of pair i in
+    it.  The n! ``orderings``, the ``"y|menu"`` ``keys`` of the pairs and
+    the ``pair_of`` map back from those keys are built on first read."""
 
     alternatives: tuple[str, ...]
     bit: Mapping[str, int]
@@ -165,7 +175,9 @@ class _Layout:
     index: Mapping[_Pair, int]
     menus: tuple[tuple[tuple[str, ...], int, range], ...]
     by_mask: tuple[tuple[str, ...], ...]
-    slots: tuple[tuple[int, ...], ...]
+    cube: tuple[int, ...]
+    cocube: tuple[int, ...]
+    cocube_index: tuple[int, ...]
 
     @functools.cached_property
     def orderings(self) -> tuple[tuple[str, ...], ...]:
@@ -200,8 +212,9 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
     masks: dict[_Pair, int] = {}
     menus = []
     by_mask: list[tuple[str, ...]] = [()] * (1 << n)
-    off = n << n >> 1  # n 2^(n-1), the number of pairs
-    slots = [[off] * (1 << n) for _ in alternatives]
+    half = 1 << n >> 1  # the 2^(n-1) menus holding each alternative
+    cube = [0] * (n * half)
+    cocube_index = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             menu = tuple(alternatives[i] for i in combo)
@@ -209,11 +222,18 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
             by_mask[mask] = menu
             start = len(pairs)
             for i in combo:
-                slots[i][mask] = len(pairs)
+                # the mask with bit i squeezed out, the bits above it
+                # shifted down; its complement in block i for cocube
+                squeezed = mask - (1 << i) - (mask >> i + 1 << i)
+                cube[i * half + squeezed] = len(pairs)
+                cocube_index.append(i * half + half - 1 - squeezed)
                 pair = (alternatives[i], menu)
                 masks[pair] = mask
                 pairs.append(pair)
             menus.append((menu, mask, range(start, len(pairs))))
+    cocube = [0] * len(pairs)
+    for p, k in enumerate(cocube_index):
+        cocube[k] = p
     return _Layout(
         alternatives=alternatives,
         bit=MappingProxyType({a: 1 << i for i, a in enumerate(alternatives)}),
@@ -222,7 +242,9 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
         index=MappingProxyType({p: i for i, p in enumerate(pairs)}),
         menus=tuple(menus),
         by_mask=tuple(by_mask),
-        slots=tuple(map(tuple, slots)),
+        cube=tuple(cube),
+        cocube=tuple(cocube),
+        cocube_index=tuple(cocube_index),
     )
 
 
@@ -235,8 +257,8 @@ class RumInstance:
     order of ``alternatives``; the constructor canonicalizes and demands
     a complete table: every pair present, nothing extra, menu rows
     summing to one.  It makes one pass over the keys, looking each up in
-    the shared menu layout of the alternatives, then sums every menu's
-    integers at once; the first check a table fails names the problem.
+    the shared menu layout of the alternatives, then sums each menu's
+    span of integers; the first check a table fails names the problem.
     It keeps the checked table as integers, outside the fields (see the
     module docstring), and pickles by its fields, rebuilt through the
     constructor."""
@@ -263,9 +285,8 @@ class RumInstance:
         values: list[Fraction] = []
         parsed: dict[str, int] = {}
         table: dict[_Pair, Fraction] = {}
-        # flat[i]: index in values of pair i (pairs() order), -1 if absent;
-        # the extra last slot stays -1 for the off-menu entries of the rows
-        flat = [-1] * (len(pairs) + 1)
+        # flat[i]: index in values of pair i (pairs() order), -1 if absent
+        flat = [-1] * len(pairs)
         for key, value in dict(self.choice).items():
             i = position(key)  # the keys are hashable: they were dict keys
             if i is None:
@@ -306,33 +327,30 @@ class RumInstance:
                 raise InputError(f"duplicate entry for {pairs[i]!r}")
             table[pairs[i]] = values[k]
             flat[i] = k
-        # The keys are now distinct canonical pairs.  Each row, indexed by
-        # mask, takes its integers over the common denominator (0 where a
-        # pair is off the menu or absent), and every menu's sum is read off
-        # the rows at once.  Only a table with a missing pair or a bad sum
-        # walks the menus in order, so that the first fault is named.
+        # The keys are now distinct canonical pairs.  Each takes its integer
+        # over the common denominator (0 where absent), in pairs() order,
+        # so every menu's sum is the sum of its span.  Only a table with a
+        # missing pair or a bad sum walks the menus in order, so that the
+        # first fault is named.
         den = math.lcm(*{p.denominator for p in values})
-        nums = [p.numerator * (den // p.denominator) for p in values]
-        nums.append(0)  # for the index -1
-        rows = {
-            a: list(map(nums.__getitem__, map(flat.__getitem__, slots)))
-            for a, slots in zip(alts, layout.slots)
-        }
-        totals = list(map(sum, zip(*rows.values())))
-        if len(table) != len(pairs) or totals.count(den) != len(totals) - 1:
+        ints = [p.numerator * (den // p.denominator) for p in values]
+        ints.append(0)  # for the index -1
+        nums = tuple(map(ints.__getitem__, flat))
+        totals = [sum(nums[s.start:s.stop]) for _, _, s in layout.menus]
+        if len(table) != len(pairs) or totals.count(den) != len(totals):
             missing = []
-            for menu, mask, span in layout.menus:
+            for (menu, _, span), total in zip(layout.menus, totals):
                 missing += [pairs[i] for i in span if flat[i] < 0]
-                if not missing and totals[mask] != den:
+                if not missing and total != den:
                     raise InputError(
                         f"choice probabilities on menu {menu!r} sum to "
-                        f"{Fraction(totals[mask], den)}"
+                        f"{Fraction(total, den)}"
                     )
             raise InputError(f"missing choice entries: {missing}")
         object.__setattr__(self, "choice", table)
         object.__setattr__(self, "_layout", layout)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_masks", layout.masks)
 
     def __reduce__(self):
@@ -463,22 +481,23 @@ def build_matrix(inst: RumInstance) -> ChoiceMatrix:
     return ChoiceMatrix(pairs=inst.pairs(), orderings=orderings)
 
 
-def _subset_sums(rows: Iterable[list[int]], combine=operator.add) -> None:
-    """Zeta transform in place: each row, indexed by bitmask, ends up
-    holding at each mask the sum over its subsets, or with ``operator.sub``
-    the alternating sum.  Per bit b, the masks with b combine with those
-    without it in b strided slices, or in blocks once b is large."""
-    for row in rows:
-        size, b = len(row), 1
-        while b < size:
-            step = 2 * b
-            if b * step <= size:
-                for o in range(b, step):
-                    row[o::step] = map(combine, row[o::step], row[o - b::step])
-            else:
-                for r in range(b, size, step):
-                    row[r:r + b] = map(combine, row[r:r + b], row[r - b:r])
-            b = step
+def _subset_sums(flat: list[int], block: int, combine=operator.add) -> None:
+    """Zeta transform in place of each run of *block* entries of *flat*,
+    *block* a power of two that divides its length: each run, indexed by
+    bitmask, ends up holding at each mask the sum over its subsets, or
+    with ``operator.sub`` the alternating sum.  Per bit b, the masks with
+    b combine with those without it in b strided slices, each spanning
+    every run, or in runs of b once b is large."""
+    size, b = len(flat), 1
+    while b < block:
+        step = 2 * b
+        if b * step <= size:
+            for o in range(b, step):
+                flat[o::step] = map(combine, flat[o::step], flat[o - b::step])
+        else:
+            for r in range(b, size, step):
+                flat[r:r + b] = map(combine, flat[r:r + b], flat[r - b:r])
+        b = step
 
 
 def instance_from_mixture(
@@ -494,25 +513,26 @@ def instance_from_mixture(
         )
     if any(v < 0 for v in w) or sum(w) != 1:
         raise InputError("ordering weights must be a probability vector")
-    # above[y][S]: the weight, in integers over the common denominator
-    # d, of the orderings that rank exactly the set S above y.  y is the
-    # favorite on a menu when no member of S is on it, so the pair's
-    # mass sums above[y] over the subsets of the menu's complement.
+    # above: the weight, in integers over the common denominator d, of
+    # the orderings that rank exactly the set S above y, at the place of
+    # y's pair on the menu complementary to S in the layout's ``cocube``
+    # order (block y, S with y's bit squeezed out).  y is the favorite on
+    # a menu when no member of S is on it, so the pair's mass is the sum
+    # over the subsets of its menu's complement, one subset transform.
     units, d = _int_row(w)
     layout = _layout(alts)
-    bit, full = layout.bit, (1 << len(alts)) - 1
-    above = {a: [0] * (full + 1) for a in alts}
-    for u, ordering in zip(units, orderings):
+    half = 1 << len(alts) >> 1
+    above = [0] * len(layout.pairs)
+    for u, ordering in zip(units, itertools.permutations(range(len(alts)))):
         if u:
             s = 0
-            for a in ordering:
-                above[a][s] += u
-                s |= bit[a]
-    _subset_sums(above.values())
-    table = {
-        pair: Fraction(above[pair[0]][full ^ mask], d)
-        for pair, mask in layout.masks.items()
-    }
+            for i in ordering:
+                # S with bit i squeezed out: the bits above i shift down
+                above[i * half + s - (s >> i + 1 << i)] += u
+                s |= 1 << i
+    _subset_sums(above, half)
+    masses = map(above.__getitem__, layout.cocube_index)
+    table = {pair: Fraction(v, d) for pair, v in zip(layout.pairs, masses)}
     return RumInstance(alternatives=alts, choice=table)
 
 
@@ -541,23 +561,33 @@ def rum_min_eps(inst: RumInstance) -> RumReport:
     return report
 
 
-def _best_ordering_total(
-    inst: RumInstance, matrix: ChoiceMatrix, t: Sequence[int]
-) -> int:
-    """Largest total tag any single ordering collects, without a scan of
-    the n! columns: ``V(R) = max_{a in R} [w(a, R) + V(R - a)]``, where
-    ``w(a, R)`` sums the tags of the pairs ``(a, M)`` with ``M ⊆ R``.  An
-    ordering of R led by a wins exactly the menus of R that contain a,
-    and the menus without a are left to the orderings of ``R - a``.
-    ``w`` is a zeta (subset-sum) transform of the tags, so the whole
+def _best_ordering_total(layout: _Layout, t: Sequence[int]) -> int:
+    """Largest total tag any single ordering collects, given the tags *t*
+    in ``pairs()`` order, without a scan of the n! columns:
+    ``V(R) = max_{a in R} [w(a, R) + V(R - a)]``, where ``w(a, R)`` sums
+    the tags of the pairs ``(a, M)`` with ``M ⊆ R``.  An ordering of R led
+    by a wins exactly the menus of R that contain a, and the menus without
+    a are left to the orderings of ``R - a``.  ``w`` is one zeta
+    (subset-sum) transform of the tags in the layout's ``cube`` order,
+    spread back to one row per alternative indexed by mask, so the whole
     step is O(n^2 2^n) exact additions."""
-    bits = tuple(inst._layout.bit.items())
-    size = 1 << len(bits)
-    w = {a: [0] * size for a, _ in bits}
-    masks = inst._masks
-    for pair, tag in zip(matrix.pairs, t):
-        w[pair[0]][masks[pair]] += tag
-    _subset_sums(w.values())
+    n = len(layout.alternatives)
+    size, half = 1 << n, 1 << n >> 1
+    flat = list(map(t.__getitem__, layout.cube))
+    _subset_sums(flat, half)
+    w = []
+    for i in range(n):
+        # block i holds the masks with bit b, squeezed: runs of b entries
+        # go to every other run of b masks, starting at b
+        b, row, part = 1 << i, [0] * size, flat[i * half:(i + 1) * half]
+        if b * b <= half:
+            for o in range(b):
+                row[b + o::2 * b] = part[o::b]
+        else:
+            for k in range(0, half, b):
+                row[2 * k + b:2 * k + 2 * b] = part[k:k + b]
+        w.append(row)
+    bits = tuple(enumerate(layout.bit.values()))
     value = [0] * size
     for r in range(1, size):
         value[r] = max(
@@ -574,15 +604,21 @@ def _tag_sides(
 ) -> tuple[Fraction, list[int], Fraction, int]:
     """Shared prelude of the two evaluators: the parsed slack, the tags,
     the observed success total ``sum p0_i t_i`` (one integer dot product
-    with the instance's numerators) and the best-ordering total."""
+    with the instance's numerators) and the best-ordering total.  Tags
+    on a matrix whose pairs are not the layout's are first summed onto
+    the layout's positions."""
     tol = parse_rational(eps)
     t = list(tags)
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
-    rows, masks = inst._rows, inst._masks
-    nums = [rows[pair[0]][masks[pair]] for pair in matrix.pairs]
-    lhs = Fraction(sum(map(operator.mul, t, nums)), inst._den)
-    return tol, t, lhs, _best_ordering_total(inst, matrix, t)
+    layout = inst._layout
+    placed = t
+    if matrix.pairs is not layout.pairs:
+        placed = [0] * len(layout.pairs)
+        for i, tag in zip(map(layout.index.__getitem__, matrix.pairs), t):
+            placed[i] += tag
+    lhs = Fraction(sum(map(operator.mul, placed, inst._nums)), inst._den)
+    return tol, t, lhs, _best_ordering_total(layout, placed)
 
 
 def evaluate_arsp(

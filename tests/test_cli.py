@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from nrb import (
     RumInstance,
     bm_polynomials,
     enumerate_menus,
+    instance_from_mixture,
 )
 from nrb import cli
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
@@ -958,3 +960,44 @@ def test_commands_run_without_site_packages(tmp_path):
         )
         assert proc.returncode == exit_code, (args, proc.stderr)
         assert json.loads(proc.stdout)[key] == value, args
+
+
+def test_closed_reader_keeps_the_exit_code(tmp_path):
+    """A reader that closes stdout after a few bytes, as ``| head`` does,
+    or before reading any, leaves the exit code of the unpiped run and
+    nothing on stderr, in both formats, with stdout buffered and with
+    ``PYTHONUNBUFFERED`` set.  The batch, 16 wide-7 mixture reports and
+    one missing document (exit 2), is far larger than a pipe holds, so
+    the write fails while the report is still being written; one small
+    report, buffered, fails only when it is flushed."""
+    weights = [F(0)] * 5040
+    for j in (0, 999, 2024, 4321, 5039):
+        weights[j] = F(1, 5)
+    doc = _rum_doc(instance_from_mixture("abcdefg", weights))
+    (tmp_path / "wide.json").write_text(json.dumps(doc))
+    (tmp_path / "batch.txt").write_text("wide.json\n" * 16 + "gone.json\n")
+    small = _rum_doc(instance_from_mixture("ab", [F(1, 3), F(2, 3)]))
+    (tmp_path / "small.json").write_text(json.dumps(small))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    for unbuffered, fmt in itertools.product((False, True), ("json", "text")):
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        batch = [sys.executable, "-m", "nrb.cli", "--batch", "batch.txt",
+                 "--format", fmt, "rum", "bm"]
+        whole = subprocess.run(batch, capture_output=True, cwd=tmp_path,
+                               env=env)
+        assert whole.returncode == 2 and whole.stderr == b"", whole.stderr
+        assert len(whole.stdout) > 1 << 17
+        single = [sys.executable, "-m", "nrb.cli", "--format", fmt, "rum",
+                  "bm", "small.json"]
+        for argv, head, code in ((batch, 100, 2), (single, 0, 0)):
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, cwd=tmp_path,
+                                    env=env)
+            assert proc.stdout.read(head) == whole.stdout[:head]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(), err) == (code, b""), (argv, unbuffered)

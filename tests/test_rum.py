@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import pickle
 import random
 from fractions import Fraction as F
@@ -750,24 +751,20 @@ def test_validation_matches_reference_at_seven():
 
 
 def _assert_integer_table(inst):
-    """The instance's integer table: every pair's numerator over the
-    common denominator is its probability, at its menu's bitmask, the
-    pairs run in enumeration order, and off-menu entries are zero."""
+    """The instance's integer table: one numerator per pair, the pairs
+    in enumeration order, each pair's numerator over the common
+    denominator its probability and its mask its menu's bitmask."""
     alts = inst.alternatives
     bit = {a: 1 << i for i, a in enumerate(alts)}
     assert list(inst._masks) == [
         (y, menu) for menu in enumerate_menus(alts) for y in menu
     ]
     assert type(inst._den) is int and inst._den > 0
-    assert list(inst._rows) == list(alts)
-    for (y, menu), p in inst.choice.items():
-        mask = sum(bit[a] for a in menu)
-        assert inst._masks[y, menu] == mask
-        num = inst._rows[y][mask]
-        assert type(num) is int and F(num, inst._den) == p
-    for y, row in inst._rows.items():
-        assert len(row) == 1 << len(alts)
-        assert not any(v for mask, v in enumerate(row) if not mask & bit[y])
+    assert type(inst._nums) is tuple
+    assert len(inst._nums) == len(inst.choice) == len(inst._masks)
+    for ((y, menu), mask), num in zip(inst._masks.items(), inst._nums):
+        assert mask == sum(bit[a] for a in menu)
+        assert type(num) is int and F(num, inst._den) == inst.choice[y, menu]
 
 
 def _hash_outcome(inst):
@@ -799,8 +796,8 @@ def test_integer_table_matches_the_choice_table(drawn, data):
     assert other == inst
     assert _hash_outcome(other) == _hash_outcome(inst)
     assert repr(other) == repr(inst)
-    assert (other._den, other._rows, other._masks) == (
-        inst._den, inst._rows, inst._masks
+    assert (other._den, other._nums, other._masks) == (
+        inst._den, inst._nums, inst._masks
     )
 
 
@@ -914,6 +911,102 @@ def test_sums_and_scores_match_the_reference_implementations():
             )
 
 
+def _naive_cube_sums(layout, nums, combine, upward):
+    """Each pair's sum over its submenus (or, *upward*, its supermenus),
+    with sign ``(-1)^{|menu difference|}`` for ``operator.sub``: every
+    submask of the free bits in turn, O(3^n) terms in all."""
+    full = (1 << len(layout.alternatives)) - 1
+    num = {(y, mask): nums[i]
+           for i, ((y, _), mask) in enumerate(layout.masks.items())}
+    out = []
+    for y, mask in num:
+        free = (full ^ mask) if upward else (mask ^ layout.bit[y])
+        total, part = 0, free
+        while True:
+            other = (mask | part) if upward else (mask ^ part)
+            odd = combine is operator.sub and part.bit_count() & 1
+            total += -num[y, other] if odd else num[y, other]
+            if not part:
+                break
+            part = (part - 1) & free
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_flat_subcube_transform_matches_naive_sums(n, seed):
+    """Gathered into ``cube`` order, one transform over the flat table
+    gives every pair's sum over its submenus; gathered into ``cocube``
+    order and read back through ``cocube_index``, its sum over its
+    supermenus.  Both with ``operator.add`` and ``operator.sub``; at
+    n=1 the single block has nothing to transform."""
+    rng = random.Random(seed)
+    layout = rum._layout(tuple("abcdefgh"[:n]))
+    half = 1 << n >> 1
+    nums = [rng.choice((0, rng.randrange(-10**9, 10**9)))
+            for _ in layout.pairs]
+    assert sorted(layout.cube) == sorted(layout.cocube) == list(range(len(nums)))
+    for combine in (operator.add, operator.sub):
+        flat = [nums[i] for i in layout.cube]
+        rum._subset_sums(flat, half, combine)
+        got = [0] * len(nums)
+        for i, v in zip(layout.cube, flat):
+            got[i] = v
+        assert got == _naive_cube_sums(layout, nums, combine, upward=False)
+        flat = [nums[i] for i in layout.cocube]
+        rum._subset_sums(flat, half, combine)
+        got = [flat[k] for k in layout.cocube_index]
+        assert got == _naive_cube_sums(layout, nums, combine, upward=True)
+
+
+def _mixture(rng, alts, count):
+    """The table of *count* random orderings with random weights."""
+    n_ord = len(enumerate_orderings(alts))
+    raw = [F(0)] * n_ord
+    for j in rng.sample(range(n_ord), count):
+        raw[j] = F(rng.randrange(1, 10), rng.choice((1, 3, 7)))
+    total = sum(raw)
+    return instance_from_mixture(alts, [w / total for w in raw])
+
+
+def test_sums_and_scores_match_the_references_at_seven_and_eight(monkeypatch):
+    """The Block-Marschak sums and both tag scores equal the references
+    on n=7 and n=8 mixtures and an n=7 random table, scored on the
+    layout's pairs, on the matrix's pairs shuffled and on pairs drawn
+    with repeats, whose tags add up."""
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", "8")
+    rng = random.Random(78)
+    cases = [_mixture(rng, "abcdefg", 40), _mixture(rng, "abcdefgh", 40),
+             random_rum(rng, 7)]
+    for inst in cases:
+        got, want = bm_polynomials(inst), _bm_polynomials_reference(inst)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is F for v in got.values())
+        matrix = build_matrix(inst)
+        order = list(range(len(matrix.pairs)))
+        rng.shuffle(order)
+        shuffled = ChoiceMatrix(
+            pairs=tuple(matrix.pairs[i] for i in order),
+            orderings=matrix.orderings,
+        )
+        repeated = ChoiceMatrix(
+            pairs=tuple(rng.choices(matrix.pairs, k=len(order) // 2)),
+            orderings=matrix.orderings,
+        )
+        for scored in (matrix, shuffled, repeated):
+            for _ in range(2):
+                t = [rng.randrange(6) for _ in scored.pairs]
+                eps = F(rng.randrange(11), 10)
+                assert evaluate_arsp(inst, scored, t, eps) == (
+                    _evaluate_reference(inst, scored, t, eps, star=False)
+                )
+                assert evaluate_arsp_star(inst, scored, t, eps) == (
+                    _evaluate_reference(inst, scored, t, eps, star=True)
+                )
+
+
 def test_tag_vector_validation():
     with pytest.raises(InputError):
         TaggedTrialSequence(tags=())
@@ -1004,7 +1097,8 @@ def _layout_snapshot(layout):
     return (
         layout.alternatives, list(layout.bit.items()), layout.pairs,
         list(layout.masks.items()), list(layout.index.items()),
-        layout.menus, layout.by_mask, layout.slots,
+        layout.menus, layout.by_mask, layout.cube, layout.cocube,
+        layout.cocube_index,
     )
 
 
@@ -1022,7 +1116,7 @@ def test_tables_on_one_alternatives_tuple_share_one_layout():
     assert again._layout is not first._layout
     assert again.pairs() == first.pairs()
     assert list(again._masks.items()) == list(first._masks.items())
-    assert again._rows == first._rows
+    assert again._nums == first._nums
     _assert_integer_table(again)
     assert _layout_snapshot(again._layout) == _layout_snapshot(first._layout)
     assert again._layout.orderings == tuple(
@@ -1043,7 +1137,9 @@ def test_layout_maps_are_read_only(skewed_triples):
             del mapping[key]
     with pytest.raises(AttributeError):
         layout.pairs = ()
-    assert type(layout.pairs) is tuple and type(layout.slots) is tuple
+    assert type(layout.pairs) is tuple
+    assert type(layout.cube) is type(layout.cocube) is tuple
+    assert type(layout.cocube_index) is tuple
 
 
 def test_layout_keys_spell_the_pairs():
@@ -1136,7 +1232,10 @@ def test_reordered_alternatives_get_their_own_layout():
     one = RumInstance(alternatives=("a", "b"), choice=table)
     two = RumInstance(alternatives=("b", "a"), choice=table)
     assert (one._layout, two._layout) == (ab, ba)
-    assert one._rows["a"][3] * two._den == two._rows["a"][3] * one._den
+    assert (
+        one._nums[ab.index["a", ("a", "b")]] * two._den
+        == two._nums[ba.index["a", ("b", "a")]] * one._den
+    )
 
 
 def test_enumerate_orderings_keeps_non_string_alternatives_apart():
@@ -1149,13 +1248,13 @@ def test_enumerate_orderings_keeps_non_string_alternatives_apart():
 
 def test_work_on_one_table_leaves_another_unchanged():
     """Sums, scores and both programs on one instance leave another
-    instance over the same alternatives, its rows and the layout as
-    they were."""
+    instance over the same alternatives, its integer table and the
+    layout as they were."""
     worked = random_rum(random.Random(11), 4)
     other = random_rum(random.Random(12), 4)
     def state(inst):
         return (list(inst.pairs()), list(inst._masks.items()),
-                copy.deepcopy(inst._rows), _layout_snapshot(inst._layout))
+                inst._nums, _layout_snapshot(inst._layout))
 
     before = state(other)
     matrix = build_matrix(worked)
@@ -1178,7 +1277,7 @@ def test_instances_pickle_and_copy_through_the_constructor(skewed_triples):
         assert copied == skewed_triples
         assert copied._layout is rum._layout(copied.alternatives)
         assert copied.pairs() == skewed_triples.pairs()
-        assert copied._rows == skewed_triples._rows
+        assert copied._nums == skewed_triples._nums
 
 
 def test_deterministic_tables_rationalizable_iff_consistent():
