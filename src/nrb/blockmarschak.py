@@ -16,9 +16,11 @@ sums, with coefficient +1 or -1, so moving the table by an L1 distance
 d moves the negative mass by at most 2^(n-1) d: the distance is at
 least the negative mass divided by 2^(n-1).  The n 2^(n-1) sums come from
 one superset Moebius transform over the table itself, one integer per
-pair: each alternative's 2^(n-1) menus form a subcube, and all n of them
-are transformed at once, (n-1) n 2^(n-2) integer subtractions in all,
-O(n^2 2^n); they and their negative mass take no alternative cap.
+pair: each alternative's 2^(n-1) menus form a subcube, and one subset
+transform of the layout's ``cube`` order reversed takes all n at once,
+(n-1) n 2^(n-2) integer subtractions in all, O(n^2 2^n); they and their
+negative mass take no alternative cap.  K(y, R) sits at the place of the
+menu lattice's edge from R to R - y.
 ``hoffman_ratio`` is not: on a non-rationalizable table it solves the
 additive program ``rum_min_eps`` over all n! orderings, so it refuses
 tables beyond the RUM alternative cap and grows factorially below it.
@@ -46,14 +48,15 @@ def bm_polynomials(
 ) -> dict[tuple[str, tuple[str, ...]], Fraction]:
     """Alternating superset sums, keyed like the choice table in
     ``pairs()`` order.  The instance's integer table is gathered into the
-    layout's ``cocube`` order, where each alternative's menus are indexed
-    by their complements, goes through one subset Moebius transform, and
-    is gathered back.  The zero sums, most of them on a mixture, share
-    one ``Fraction``."""
+    layout's ``cube`` order reversed, where each alternative's menus are
+    indexed by their complements, goes through one subset Moebius
+    transform, and is reversed back.  The zero sums, most of them on a
+    mixture, share one ``Fraction``."""
     layout, den = inst._layout, inst._den
-    k = list(map(inst._nums.__getitem__, layout.cocube))
+    k = list(map(inst._nums.__getitem__, reversed(layout.cube)))
     _subset_sums(k, 1 << inst.n_alternatives >> 1, operator.sub)
-    sums = map(k.__getitem__, layout.cocube_index)
+    k.reverse()
+    sums = map(k.__getitem__, layout.cube_index)
     return {
         pair: Fraction(v, den) if v else _ZERO
         for pair, v in zip(layout.pairs, sums)

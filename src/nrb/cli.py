@@ -37,10 +37,6 @@ from .errors import CapExceededError, InputError, InternalCheckError, NrbError
 from .measures import (
     CredalSet,
     PointSpace,
-    ProbVector,
-    StakesVector,
-    expectation,
-    oscillation,
     point_space_from_json,
     prob_vector_from_json,
     vector_to_json,
@@ -51,6 +47,7 @@ from .pooling import (
     PoolingReport,
     _condition_C,
     _condition_Cstar,
+    _pareto_terms,
     check_condition_CM,
     check_event_minmax,
     pool_min_eps_additive,
@@ -119,29 +116,28 @@ def _check_kind(doc: dict, kind: str) -> str:
     return f"{kind} instance"
 
 
+def _vectors(
+    doc: dict, name: str, where: str, space: PointSpace
+) -> CredalSet:
+    """The field *name*: a nonempty array of probability vectors."""
+    rows = _require(doc, name, where)
+    if not isinstance(rows, list) or not rows:
+        raise InputError(f"{name} must be a nonempty array of vectors")
+    return CredalSet(tuple(prob_vector_from_json(space, row) for row in rows))
+
+
 def _parse_credal(doc: dict) -> tuple[CredalSet, CredalSet]:
     where = _check_kind(doc, "credal")
     space = point_space_from_json(_require(doc, "space", where))
-    def side(name: str) -> CredalSet:
-        rows = _require(doc, name, where)
-        if not isinstance(rows, list) or not rows:
-            raise InputError(f"{name} must be a nonempty array of vectors")
-        return CredalSet(
-            tuple(prob_vector_from_json(space, row) for row in rows)
-        )
-    return side("P_set"), side("Q_set")
+    return (_vectors(doc, "P_set", where, space),
+            _vectors(doc, "Q_set", where, space))
 
 
 def _parse_pooling(doc: dict) -> PoolingInstance:
     where = _check_kind(doc, "pooling")
     space = point_space_from_json(_require(doc, "space", where))
     planner = prob_vector_from_json(space, _require(doc, "P", where))
-    rows = _require(doc, "Q", where)
-    if not isinstance(rows, list) or not rows:
-        raise InputError("Q must be a nonempty array of vectors")
-    opinions = CredalSet(
-        tuple(prob_vector_from_json(space, row) for row in rows)
-    )
+    opinions = _vectors(doc, "Q", where, space)
     return PoolingInstance(planner=planner, opinions=opinions)
 
 
@@ -241,22 +237,9 @@ def _pareto_certificate(
     """Recompute the witness inequalities from its serialized numbers,
     then render it; the emitted certificate must stand on its own."""
     f, g = witness.f, witness.g
-    margins = tuple(
-        expectation(f, q) - expectation(g, q) for q in inst.opinions.members
-    )
+    margins, violation = _pareto_terms(inst, f, g, eps, star)
     if margins != witness.premise_margins or any(m < 0 for m in margins):
         raise InternalCheckError("witness premise fails re-verification")
-    h = StakesVector(
-        space=f.space,
-        values=tuple(a - b for a, b in zip(f.values, g.values)),
-    )
-    if star:
-        penalty = oscillation(h) - max(h.values)
-    else:
-        penalty = oscillation(h) / 2
-    violation = (
-        expectation(g, inst.planner) - eps * penalty
-    ) - expectation(f, inst.planner)
     if violation != witness.violation_amount or violation <= 0:
         raise InternalCheckError("witness violation fails re-verification")
     return {

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import ge
+from operator import ge, sub
 from typing import Optional
 
 from .duality import _l1_fit, _unit_shift
@@ -255,8 +255,7 @@ def _condition_C(
     report, stakes = _pool_fit(inst, None)
     if report.epsilon_min <= tol:
         return None, report
-    witness = _pareto_witness(inst, stakes, lambda h: tol * oscillation(h) / 2)
-    return witness, report
+    return _pareto_witness(inst, stakes, tol, star=False), report
 
 
 def check_condition_Cstar(
@@ -284,35 +283,44 @@ def _condition_Cstar(
     stakes = StakesVector(
         space=inst.space, values=_unit_shift([-y for y in duals])
     )
-    witness = _pareto_witness(
-        inst, stakes, lambda h: tol * (oscillation(h) - max(h.values))
-    )
-    return witness, report
+    return _pareto_witness(inst, stakes, tol, star=True), report
 
 
 def _pareto_witness(
-    inst: PoolingInstance, stakes: StakesVector, penalty
+    inst: PoolingInstance, stakes: StakesVector, tol: Fraction, star: bool
 ) -> ParetoWitness:
     """The pair f = -stakes, g = the experts' least expected payoff of f
-    as a constant, with the conclusion's slack ``penalty(f - g)``."""
+    as a constant, measured by ``_pareto_terms``."""
     f = StakesVector(
         space=inst.space,
         values=tuple(-v for v in stakes.values),
     )
     floor = min(expectation(f, q) for q in inst.opinions.members)
     g = _constant_stakes(inst.space, floor)
-    margins = tuple(
-        expectation(f, q) - floor for q in inst.opinions.members
-    )
-    h = StakesVector(
-        space=inst.space,
-        values=tuple(a - b for a, b in zip(f.values, g.values)),
-    )
-    conclusion_rhs = expectation(g, inst.planner) - penalty(h)
-    violation = conclusion_rhs - expectation(f, inst.planner)
+    margins, violation = _pareto_terms(inst, f, g, tol, star)
     return ParetoWitness(
         f=f, g=g, premise_margins=margins, violation_amount=violation
     )
+
+
+def _pareto_terms(
+    inst: PoolingInstance, f: StakesVector, g: StakesVector,
+    tol: Fraction, star: bool,
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The premise margins ``E_Q[f] - E_Q[g]``, one per expert, and the
+    amount by which the planner's side fails,
+    ``E_P[g] - tol * penalty(h) - E_P[f]`` for h = f - g, with penalty
+    ``osc(h) / 2`` for condition C and ``osc(h) - max h`` for C*."""
+    margins = tuple(
+        expectation(f, q) - expectation(g, q) for q in inst.opinions.members
+    )
+    values = tuple(map(sub, f.values, g.values))
+    h = StakesVector(space=inst.space, values=values)
+    penalty = oscillation(h) - max(h.values) if star else oscillation(h) / 2
+    violation = (
+        expectation(g, inst.planner) - tol * penalty
+    ) - expectation(f, inst.planner)
+    return margins, violation
 
 
 def _event_table(

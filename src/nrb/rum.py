@@ -28,12 +28,13 @@ returned.
 
 The menu domain over an alternatives tuple (each alternative's bit, the
 menus with their bitmasks, the pairs in ``pairs()`` order and each pair's
-mask and position, and the subcube orders of the pairs) is built once per
-tuple and shared, read only, by every table over it (``_layout``, a small
-cache keyed by the tuple, never by table content).  ``RumInstance``
-validates a table in one pass over its keys: a canonical key is one
-lookup in the layout, a respelled menu is checked and canonicalised once
-per call, and each distinct probability string is parsed once.  It keeps
+mask and position, one subcube order of the pairs and the menu lattice's
+edges) is built once per tuple and shared, read only, by every table over
+it (``_layout``, a small cache keyed by the tuple, never by table
+content).  ``RumInstance`` validates a table in one pass over its keys:
+a canonical key is one lookup in the layout, a respelled menu is checked
+and canonicalised once per call, and each distinct probability string is
+parsed once.  It keeps
 the checked table, outside the dataclass fields (so ``==``, ``hash``,
 ``repr`` and ``choice`` are as before), as one integer per pair over one
 common denominator ``_den``: ``_nums[i]`` is the numerator of
@@ -42,7 +43,8 @@ menu's bitmask (bit i for ``alternatives[i]``).  A menu's pairs are
 contiguous, so its sum is the sum of its span.  The Block-Marschak sums,
 the tag scores' best-ordering DP and ``instance_from_mixture`` gather the
 pairs into the layout's alternative-major subcube order, where one subset
-transform over a flat list serves every alternative at once.
+transform over a flat list serves every alternative at once; the DP and
+the mixture find their places along the lattice's edges.
 
 ``build_matrix`` returns the pairs and the orderings, both the layout's;
 the matrix's n!-wide rows are built on first read.  Scoring a tag vector
@@ -161,12 +163,14 @@ class _Layout:
     holds the 2^(n-1) menus that contain ``alternatives[i]``, each at
     its mask with bit i squeezed out (the bits above i shift down one).
     ``cube[k]`` is the position in ``pairs`` of the pair at place k of
-    that order, so a subset transform over the blocks sums each pair
-    over its submenus.  ``cocube`` is the same with every block indexed
-    by the complement of the squeezed mask, so the same transform sums
-    over supermenus, and ``cocube_index[i]`` is the place of pair i in
-    it.  The n! ``orderings``, the ``"y|menu"`` ``keys`` of the pairs and
-    the ``pair_of`` map back from those keys are built on first read."""
+    that order and ``cube_index[p]`` the place of pair p.  A subset
+    transform over the blocks sums each pair over its submenus, and over
+    the list reversed (each block's index complemented) over its
+    supermenus.  ``edges[R]`` holds ``(place of pair (a, R), R - a)`` for
+    each member a of mask R in list order: every path of edges from the
+    full mask to 0 is one ordering, in ``enumerate_orderings`` order.
+    The n! ``orderings``, the ``"y|menu"`` ``keys`` of the pairs and the
+    ``pair_of`` map back from those keys are built on first read."""
 
     alternatives: tuple[str, ...]
     bit: Mapping[str, int]
@@ -176,8 +180,8 @@ class _Layout:
     menus: tuple[tuple[tuple[str, ...], int, range], ...]
     by_mask: tuple[tuple[str, ...], ...]
     cube: tuple[int, ...]
-    cocube: tuple[int, ...]
-    cocube_index: tuple[int, ...]
+    cube_index: tuple[int, ...]
+    edges: tuple[tuple[tuple[int, int], ...], ...]
 
     @functools.cached_property
     def orderings(self) -> tuple[tuple[str, ...], ...]:
@@ -214,26 +218,27 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
     by_mask: list[tuple[str, ...]] = [()] * (1 << n)
     half = 1 << n >> 1  # the 2^(n-1) menus holding each alternative
     cube = [0] * (n * half)
-    cocube_index = []
+    cube_index = []
+    edges: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
             menu = tuple(alternatives[i] for i in combo)
             mask = sum(1 << i for i in combo)
             by_mask[mask] = menu
             start = len(pairs)
+            out = []
             for i in combo:
                 # the mask with bit i squeezed out, the bits above it
-                # shifted down; its complement in block i for cocube
-                squeezed = mask - (1 << i) - (mask >> i + 1 << i)
-                cube[i * half + squeezed] = len(pairs)
-                cocube_index.append(i * half + half - 1 - squeezed)
+                # shifted down, in block i
+                k = i * half + mask - (1 << i) - (mask >> i + 1 << i)
+                cube[k] = len(pairs)
+                cube_index.append(k)
+                out.append((k, mask ^ 1 << i))
                 pair = (alternatives[i], menu)
                 masks[pair] = mask
                 pairs.append(pair)
+            edges[mask] = tuple(out)
             menus.append((menu, mask, range(start, len(pairs))))
-    cocube = [0] * len(pairs)
-    for p, k in enumerate(cocube_index):
-        cocube[k] = p
     return _Layout(
         alternatives=alternatives,
         bit=MappingProxyType({a: 1 << i for i, a in enumerate(alternatives)}),
@@ -243,8 +248,8 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
         menus=tuple(menus),
         by_mask=tuple(by_mask),
         cube=tuple(cube),
-        cocube=tuple(cocube),
-        cocube_index=tuple(cocube_index),
+        cube_index=tuple(cube_index),
+        edges=tuple(edges),
     )
 
 
@@ -259,6 +264,8 @@ class RumInstance:
     summing to one.  It makes one pass over the keys, looking each up in
     the shared menu layout of the alternatives, then sums each menu's
     span of integers; the first check a table fails names the problem.
+    A short table over more alternatives than ``max_alternatives()`` is
+    refused first (``CapExceededError``), before its layout is built.
     It keeps the checked table as integers, outside the fields (see the
     module docstring), and pickles by its fields, rebuilt through the
     constructor."""
@@ -273,6 +280,14 @@ class RumInstance:
         if len(set(alts)) != len(alts):
             raise InputError("alternatives must be distinct")
         object.__setattr__(self, "alternatives", alts)
+        entries = dict(self.choice)
+        domain = len(alts) << len(alts) >> 1
+        if len(entries) < domain and len(alts) > max_alternatives():
+            raise CapExceededError(
+                f"{len(alts)} alternatives exceed the cap of "
+                f"{max_alternatives()} for an incomplete table: "
+                f"{len(entries)} of {domain} entries"
+            )
         layout = _layout(alts)
         bit, pairs, position = layout.bit, layout.pairs, layout.index.get
         # a menu spelled other than canonically -> its canonical menu, once
@@ -287,7 +302,7 @@ class RumInstance:
         table: dict[_Pair, Fraction] = {}
         # flat[i]: index in values of pair i (pairs() order), -1 if absent
         flat = [-1] * len(pairs)
-        for key, value in dict(self.choice).items():
+        for key, value in entries.items():
             i = position(key)  # the keys are hashable: they were dict keys
             if i is None:
                 try:
@@ -513,25 +528,26 @@ def instance_from_mixture(
         )
     if any(v < 0 for v in w) or sum(w) != 1:
         raise InputError("ordering weights must be a probability vector")
-    # above: the weight, in integers over the common denominator d, of
-    # the orderings that rank exactly the set S above y, at the place of
-    # y's pair on the menu complementary to S in the layout's ``cocube``
-    # order (block y, S with y's bit squeezed out).  y is the favorite on
-    # a menu when no member of S is on it, so the pair's mass is the sum
-    # over the subsets of its menu's complement, one subset transform.
+    # won: the weight, in integers over the common denominator d, of the
+    # orderings that win the pair (y, R) on their remaining set R, at its
+    # place; ordering j takes from R the edge at j's next digit in the
+    # factorial number system.  y is the favorite on every menu inside R
+    # that holds y, so the pair's mass is the sum over its supermenus.
     units, d = _int_row(w)
     layout = _layout(alts)
-    half = 1 << len(alts) >> 1
-    above = [0] * len(layout.pairs)
-    for u, ordering in zip(units, itertools.permutations(range(len(alts)))):
+    radix = [math.factorial(k) for k in reversed(range(len(alts)))]
+    won = [0] * len(layout.pairs)
+    for j, u in enumerate(units):
         if u:
-            s = 0
-            for i in ordering:
-                # S with bit i squeezed out: the bits above i shift down
-                above[i * half + s - (s >> i + 1 << i)] += u
-                s |= 1 << i
-    _subset_sums(above, half)
-    masses = map(above.__getitem__, layout.cocube_index)
+            r = len(layout.edges) - 1
+            for f in radix:
+                e, j = divmod(j, f)
+                k, r = layout.edges[r][e]
+                won[k] += u
+    won.reverse()
+    _subset_sums(won, 1 << len(alts) >> 1)
+    won.reverse()
+    masses = map(won.__getitem__, layout.cube_index)
     table = {pair: Fraction(v, d) for pair, v in zip(layout.pairs, masses)}
     return RumInstance(alternatives=alts, choice=table)
 
@@ -569,30 +585,13 @@ def _best_ordering_total(layout: _Layout, t: Sequence[int]) -> int:
     by a wins exactly the menus of R that contain a, and the menus without
     a are left to the orderings of ``R - a``.  ``w`` is one zeta
     (subset-sum) transform of the tags in the layout's ``cube`` order,
-    spread back to one row per alternative indexed by mask, so the whole
-    step is O(n^2 2^n) exact additions."""
-    n = len(layout.alternatives)
-    size, half = 1 << n, 1 << n >> 1
+    read at the place of pair (a, R) along the lattice's ``edges``, so
+    the whole step is O(n^2 2^n) exact additions."""
     flat = list(map(t.__getitem__, layout.cube))
-    _subset_sums(flat, half)
-    w = []
-    for i in range(n):
-        # block i holds the masks with bit b, squeezed: runs of b entries
-        # go to every other run of b masks, starting at b
-        b, row, part = 1 << i, [0] * size, flat[i * half:(i + 1) * half]
-        if b * b <= half:
-            for o in range(b):
-                row[b + o::2 * b] = part[o::b]
-        else:
-            for k in range(0, half, b):
-                row[2 * k + b:2 * k + 2 * b] = part[k:k + b]
-        w.append(row)
-    bits = tuple(enumerate(layout.bit.values()))
-    value = [0] * size
-    for r in range(1, size):
-        value[r] = max(
-            w[a][r] + value[r ^ b] for a, b in bits if r & b
-        )
+    _subset_sums(flat, 1 << len(layout.alternatives) >> 1)
+    value = [0] * len(layout.edges)
+    for r in range(1, len(value)):
+        value[r] = max([flat[k] + value[s] for k, s in layout.edges[r]])
     return value[-1]
 
 

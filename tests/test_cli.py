@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -203,15 +204,73 @@ def test_verify_subcommands(capsys, credal_path, warp_path):
         ["verify", "exhaustive-rum", warp_path, "--eps", "2", "--max-tag", "1"],
     )
     assert (code, report["verdict"]) == (0, "holds")
+    for argv, message in (
+        (["verify", "grid-gap", credal_path], "grid-gap needs --resolution"),
+        (["verify", "exhaustive-rum", warp_path, "--max-tag", "1"],
+         "exhaustive-rum needs --eps and --max-tag"),
+    ):
+        code, report = _capture_json(capsys, argv)
+        assert (code, report["error"]) == (2, message)
 
 
-def test_text_format_headline(capsys, pool_path):
+def test_text_format_headline(capsys, pool_path, warp_path):
     code, out = _capture(
         capsys, ["--format", "text", "pool", "min-eps", pool_path]
     )
     assert code == 0
     assert out.splitlines()[0] == "P = Q_m + e, ‖e‖₁ = 2/3"
     assert "epsilon_min: 2/3" in out
+    for argv, head in (
+        (["rum", "min-eps", warp_path], "P0 = A pi + e, ‖e‖₁ = 2"),
+        (["rum", "min-eps", "--residual", warp_path],
+         "P0 = (1 - eps) A pi + eps R0, eps = 1"),
+        (["pool", "min-eps", "--normalized", pool_path],
+         "P = sum m_i Q_i + e, ‖e‖₁ = 2/3"),
+    ):
+        code, out = _capture(capsys, ["--format", "text", *argv])
+        assert (code, out.splitlines()[0]) == (0, head)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "NRB_MAX_ALTERNATIVES must be an integer, got 'abc'"),
+    ("0", "NRB_MAX_ALTERNATIVES must be positive"),
+])
+def test_bad_alternative_cap_is_an_input_error(
+    capsys, monkeypatch, warp_path, raw, message
+):
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", raw)
+    code, report = _capture_json(capsys, ["rum", "min-eps", warp_path])
+    assert (code, report["error"]) == (2, message)
+
+
+def test_batch_with_an_instance_argument_is_an_input_error(
+    capsys, tmp_path, credal_path
+):
+    listfile = tmp_path / "batch.txt"
+    listfile.write_text(f"{credal_path}\n")
+    code = main(["--batch", str(listfile), "distance", credal_path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "--batch replaces the instance argument\n"
+
+
+def test_short_table_over_many_alternatives_exits_3_at_once():
+    """A one-key document over 25 alternatives is refused (exit 3) in
+    well under a second, with a short error and nothing on stderr: their
+    2^25 menus are never laid out."""
+    doc = {"kind": "rum", "alternatives": [f"x{i}" for i in range(25)],
+           "choice": {"x0|x0": "1"}}
+    src = Path(__file__).resolve().parents[1] / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "nrb.cli", "rum", "bm", "-"],
+        input=json.dumps(doc), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stderr) == (3, "")
+    error = json.loads(proc.stdout)["error"]
+    assert "1 of 419430400 entries" in error and len(error) < 200
 
 
 def test_decimal_input_is_exact(capsys, tmp_path):

@@ -142,6 +142,8 @@ def test_negative_tolerance_rejected(nielsen_sets):
     p_set, q_set = nielsen_sets
     with pytest.raises(InputError):
         gordan_decide(p_set, q_set, F(-1))
+    with pytest.raises(InputError, match="^tolerance must be nonnegative$"):
+        check_bounded_separation(p_set, q_set, F(-1, 3))
 
 
 class TestContamination:

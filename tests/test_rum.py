@@ -938,16 +938,18 @@ def _naive_cube_sums(layout, nums, combine, upward):
 @given(seed=st.integers(0, 2**32))
 def test_flat_subcube_transform_matches_naive_sums(n, seed):
     """Gathered into ``cube`` order, one transform over the flat table
-    gives every pair's sum over its submenus; gathered into ``cocube``
-    order and read back through ``cocube_index``, its sum over its
-    supermenus.  Both with ``operator.add`` and ``operator.sub``; at
-    n=1 the single block has nothing to transform."""
+    gives every pair's sum over its submenus; gathered into ``cube``
+    order reversed, transformed, reversed back and read through
+    ``cube_index``, its sum over its supermenus.  Both with
+    ``operator.add`` and ``operator.sub``; at n=1 the single block has
+    nothing to transform."""
     rng = random.Random(seed)
     layout = rum._layout(tuple("abcdefgh"[:n]))
     half = 1 << n >> 1
     nums = [rng.choice((0, rng.randrange(-10**9, 10**9)))
             for _ in layout.pairs]
-    assert sorted(layout.cube) == sorted(layout.cocube) == list(range(len(nums)))
+    assert sorted(layout.cube) == list(range(len(nums)))
+    assert [layout.cube[k] for k in layout.cube_index] == list(range(len(nums)))
     for combine in (operator.add, operator.sub):
         flat = [nums[i] for i in layout.cube]
         rum._subset_sums(flat, half, combine)
@@ -955,10 +957,38 @@ def test_flat_subcube_transform_matches_naive_sums(n, seed):
         for i, v in zip(layout.cube, flat):
             got[i] = v
         assert got == _naive_cube_sums(layout, nums, combine, upward=False)
-        flat = [nums[i] for i in layout.cocube]
+        flat = [nums[i] for i in reversed(layout.cube)]
         rum._subset_sums(flat, half, combine)
-        got = [flat[k] for k in layout.cocube_index]
+        flat.reverse()
+        got = [flat[k] for k in layout.cube_index]
         assert got == _naive_cube_sums(layout, nums, combine, upward=True)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_layout_edges_are_the_menu_lattice(n):
+    """``edges[R]`` leaves R once per member a, in list order, at the
+    cube place of pair (a, R), for R without a; taking the edges in list
+    order from the full mask walks the orderings in
+    ``enumerate_orderings`` order, each path once."""
+    alts = tuple("abcde"[:n])
+    layout = rum._layout(alts)
+    assert len(layout.edges) == 1 << n and layout.edges[0] == ()
+    for r, edges in enumerate(layout.edges):
+        members = [i for i in range(n) if r >> i & 1]
+        assert edges == tuple(
+            (layout.cube_index[layout.index[alts[i], layout.by_mask[r]]],
+             r & ~(1 << i))
+            for i in members
+        )
+    def paths(r):
+        if not r:
+            return [()]
+        return [(k, *rest) for k, s in layout.edges[r] for rest in paths(s)]
+    walked = [
+        tuple(layout.pairs[layout.cube[k]][0] for k in path)
+        for path in paths((1 << n) - 1)
+    ]
+    assert tuple(walked) == enumerate_orderings(alts)
 
 
 def _mixture(rng, alts, count):
@@ -1088,6 +1118,55 @@ def test_cap_holds_once_the_layout_holds_the_orderings(
     assert rum._layout(alts).orderings == tuple(itertools.permutations(alts))
 
 
+def test_short_table_above_the_cap_is_refused_before_its_layout():
+    """A one-key table over 25 alternatives is refused with the entry
+    count and the domain size, and lays out none of their 2^25 menus."""
+    alts = tuple(f"x{i}" for i in range(25))
+    before = rum._layout.cache_info()
+    with pytest.raises(CapExceededError) as raised:
+        RumInstance(alternatives=alts, choice={("x0", ("x0",)): "1"})
+    assert str(raised.value) == (
+        "25 alternatives exceed the cap of 7 for an incomplete table: "
+        "1 of 419430400 entries"
+    )
+    after = rum._layout.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def test_only_short_tables_above_the_cap_are_refused(monkeypatch):
+    """A complete table over 8 alternatives still validates under the
+    default cap of 7, and one missing entry makes it a refusal (exit 3);
+    at 7 a missing entry is still named."""
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", "8")
+    rng = random.Random(8)
+    wide = {n: _mixture(rng, "abcdefgh"[:n], 3) for n in (7, 8)}
+    monkeypatch.delenv("NRB_MAX_ALTERNATIVES")
+    for inst in wide.values():
+        again = RumInstance(alternatives=inst.alternatives, choice=inst.choice)
+        assert again == inst and again._nums == inst._nums
+    short = dict(wide[8].choice)
+    del short["h", tuple("abcdefgh")]
+    with pytest.raises(CapExceededError, match=(
+        "^8 alternatives exceed the cap of 7 for an incomplete table: "
+        "1023 of 1024 entries$"
+    )):
+        RumInstance(alternatives=tuple("abcdefgh"), choice=short)
+    short = dict(wide[7].choice)
+    del short["g", tuple("abcdefg")]
+    with pytest.raises(InputError, match="^missing choice entries: "):
+        RumInstance(alternatives=tuple("abcdefg"), choice=short)
+
+
+def test_checks_refuse_levels_out_of_range_and_short_tags(warp_cycle):
+    with pytest.raises(InputError, match="^slack must be nonnegative$"):
+        check_eps_arsp(warp_cycle, "-1/2")
+    with pytest.raises(InputError, match=r"^level must lie in \[0, 1\]$"):
+        check_eps_arsp_star(warp_cycle, "3/2")
+    matrix = build_matrix(warp_cycle)
+    with pytest.raises(InputError, match="^tag vector length mismatch$"):
+        evaluate_arsp(warp_cycle, matrix, [1] * (len(matrix.pairs) - 1), 0)
+
+
 # ---------------------------------------------------------------------------
 # the shared menu layout
 
@@ -1097,8 +1176,8 @@ def _layout_snapshot(layout):
     return (
         layout.alternatives, list(layout.bit.items()), layout.pairs,
         list(layout.masks.items()), list(layout.index.items()),
-        layout.menus, layout.by_mask, layout.cube, layout.cocube,
-        layout.cocube_index,
+        layout.menus, layout.by_mask, layout.cube, layout.cube_index,
+        layout.edges,
     )
 
 
@@ -1138,8 +1217,9 @@ def test_layout_maps_are_read_only(skewed_triples):
     with pytest.raises(AttributeError):
         layout.pairs = ()
     assert type(layout.pairs) is tuple
-    assert type(layout.cube) is type(layout.cocube) is tuple
-    assert type(layout.cocube_index) is tuple
+    assert type(layout.cube) is type(layout.cube_index) is tuple
+    assert type(layout.edges) is tuple
+    assert all(type(edges) is tuple for edges in layout.edges)
 
 
 def test_layout_keys_spell_the_pairs():
