@@ -47,26 +47,20 @@ def bm_polynomials(
     inst: RumInstance,
 ) -> dict[tuple[str, tuple[str, ...]], Fraction]:
     """Alternating superset sums, keyed like the choice table in
-    ``pairs()`` order.  The instance's integer table is gathered into the
-    layout's ``cube`` order reversed, where each alternative's menus are
-    indexed by their complements, goes through one subset Moebius
-    transform, and is reversed back.  The zero sums, most of them on a
-    mixture, share one ``Fraction``."""
-    layout, den = inst._layout, inst._den
-    k = list(map(inst._nums.__getitem__, reversed(layout.cube)))
-    _subset_sums(k, 1 << inst.n_alternatives >> 1, operator.sub)
-    k.reverse()
-    sums = map(k.__getitem__, layout.cube_index)
+    ``pairs()`` order: ``_bm_sums`` over the instance's common
+    denominator.  The zero sums, most of them on a mixture, share one
+    ``Fraction``."""
+    den = inst._den
     return {
         pair: Fraction(v, den) if v else _ZERO
-        for pair, v in zip(layout.pairs, sums)
+        for pair, v in zip(inst._layout.pairs, _bm_sums(inst))
     }
 
 
 def bm_negative_norm(inst: RumInstance) -> Fraction:
     """Total negative mass of the alternating sums; zero exactly when
     the choice function is rationalizable."""
-    return _negative_mass(bm_polynomials(inst))
+    return _negative_mass(inst, _bm_sums(inst))
 
 
 def hoffman_ratio(inst: RumInstance) -> Optional[Fraction]:
@@ -77,9 +71,22 @@ def hoffman_ratio(inst: RumInstance) -> Optional[Fraction]:
     return _ratio(inst, bm_negative_norm(inst))
 
 
-def _negative_mass(sums: dict[object, Fraction]) -> Fraction:
-    """Negative mass of already computed alternating sums."""
-    return sum((-k for k in sums.values() if k.numerator < 0), _ZERO)
+def _bm_sums(inst: RumInstance) -> list[int]:
+    """The alternating superset sums as numerators over ``inst._den``, in
+    ``pairs()`` order.  The instance's integer table is gathered into the
+    layout's ``cube`` order reversed, where each alternative's menus are
+    indexed by their complements, goes through one subset Moebius
+    transform, and is reversed back."""
+    layout = inst._layout
+    k = list(map(inst._nums.__getitem__, reversed(layout.cube)))
+    _subset_sums(k, 1 << inst.n_alternatives >> 1, operator.sub)
+    k.reverse()
+    return list(map(k.__getitem__, layout.cube_index))
+
+
+def _negative_mass(inst: RumInstance, sums: list[int]) -> Fraction:
+    """Negative mass of the instance's ``_bm_sums``."""
+    return Fraction(-sum(v for v in sums if v < 0), inst._den)
 
 
 def _ratio(inst: RumInstance, norm: Fraction) -> Optional[Fraction]:

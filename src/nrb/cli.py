@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring as _encode_str
 from typing import Optional, Sequence
 
-from .blockmarschak import _ZERO, _negative_mass, _ratio, bm_polynomials
+from .blockmarschak import _bm_sums, _negative_mass, _ratio
 from .duality import (
     Proximity,
     Separation,
@@ -54,7 +54,12 @@ from .pooling import (
     pool_min_eps_genest,
     pool_min_eps_normalized,
 )
-from .rational import decimal_approx, format_rational, parse_rational
+from .rational import (
+    _format_ratio,
+    decimal_approx,
+    format_rational,
+    parse_rational,
+)
 from .rum import (
     RumInstance,
     RumReport,
@@ -150,15 +155,20 @@ def _parse_rum(doc: dict) -> RumInstance:
     if not isinstance(raw, dict):
         raise InputError("choice must be an object keyed 'y|menu'")
     alts, n = tuple(alts), len(alts)
-    # A key spelled as the shared layout spells it is one lookup; any
-    # other key is split, with the same checks in the same order.  The
-    # layout is read only for a table with as many keys as it has pairs,
-    # so a short document over many alternatives never builds one.
+    # The layout is read only for a table with as many keys as it has
+    # pairs, so a short document over many alternatives never builds one.
+    # When every key is spelled as the layout spells it, the keys are
+    # every pair once, and the table is keyed by the layout's own pairs;
+    # otherwise a canonical key is one lookup and any other key is split,
+    # with the same checks in the same order.
     pair_of = _layout(alts).pair_of if len(raw) == n << n >> 1 else {}
+    pairs = list(map(pair_of.get, raw))
+    if pair_of and None not in pairs:
+        table = dict(zip(pairs, raw.values()))
+        return RumInstance(alternatives=alts, choice=table)
     table = {}
     menus: dict[str, tuple[str, ...]] = {}  # each menu string split once
-    for key, value in raw.items():
-        pair = pair_of.get(key)
+    for pair, (key, value) in zip(pairs, raw.items()):
         if pair is None:
             if "|" not in key:
                 raise InputError(
@@ -373,14 +383,13 @@ def _cmd_rum_check(args, doc: dict) -> tuple[dict, int]:
 
 def _cmd_rum_bm(args, doc: dict) -> tuple[dict, int]:
     inst = _parse_rum(doc)
-    polys = bm_polynomials(inst)
-    norm = _negative_mass(polys)
+    sums, den = _bm_sums(inst), inst._den
+    norm = _negative_mass(inst, sums)
     ratio = _ratio(inst, norm)
     body: dict = {"verdict": "value"}
     _put_scalar(body, "value", norm)
-    # the zero sums, most of them, are one shared Fraction: format it once
-    zero = format_rational(_ZERO)
-    bm = [zero if v is _ZERO else format_rational(v) for v in polys.values()]
+    # formatted from the integers; the zero sums, most of them, at once
+    bm = [_format_ratio(v, den) if v else "0" for v in sums]
     body["representation"] = {
         "bm": dict(zip(inst._layout.keys, bm)),
         "negative_norm": format_rational(norm),

@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError
-from .rational import format_rational, parse_rational
+from .rational import _quote, format_rational, parse_rational
 from .simplex import (
     GREATER_EQUAL,
     LESS_EQUAL,
@@ -138,7 +138,8 @@ class ProbVector:
             raise InputError("probabilities must be nonnegative")
         if sum(ints) != den:
             raise InputError(
-                f"probabilities must sum to 1, got {Fraction(sum(ints), den)}"
+                "probabilities must sum to 1, got "
+                f"{_quote(Fraction(sum(ints), den))}"
             )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_ints", ints)

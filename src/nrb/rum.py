@@ -31,10 +31,13 @@ menus with their bitmasks, the pairs in ``pairs()`` order and each pair's
 mask and position, one subcube order of the pairs and the menu lattice's
 edges) is built once per tuple and shared, read only, by every table over
 it (``_layout``, a small cache keyed by the tuple, never by table
-content).  ``RumInstance`` validates a table in one pass over its keys:
-a canonical key is one lookup in the layout, a respelled menu is checked
-and canonicalised once per call, and each distinct probability string is
-parsed once.  It keeps
+content).  ``RumInstance`` validates a table in one pass.  A table whose
+keys are the layout's pairs in ``pairs()`` order, as the CLI hands over
+a document keyed canonically and in order, is read by position: one
+tuple comparison decides it, and each value lands at its index.  Any
+other table is read key by key: a canonical key is one lookup in the
+layout, and a respelled menu is checked and canonicalised once per call.
+Either way each distinct probability string is parsed once.  It keeps
 the checked table, outside the dataclass fields (so ``==``, ``hash``,
 ``repr`` and ``choice`` are as before), as one integer per pair over one
 common denominator ``_den``: ``_nums[i]`` is the numerator of
@@ -66,11 +69,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
-from .rational import parse_rational
+from .rational import _quote, parse_rational
 from .simplex import EQUAL, OPTIMAL, LinearProgram, _int_row, solve_lp
 
 __all__ = [
@@ -261,9 +264,12 @@ class RumInstance:
     alternative being chosen from that menu.  Menus are tuples in the
     order of ``alternatives``; the constructor canonicalizes and demands
     a complete table: every pair present, nothing extra, menu rows
-    summing to one.  It makes one pass over the keys, looking each up in
-    the shared menu layout of the alternatives, then sums each menu's
-    span of integers; the first check a table fails names the problem.
+    summing to one.  When the keys, in order, are the pairs of the shared
+    menu layout of the alternatives (``pairs()``), it reads the values by
+    position, since such keys can fail no check; otherwise it makes one
+    pass over the keys, looking each up in the layout.  It then sums each
+    menu's span of integers.  Either way the first check a table fails
+    names the problem, with the same message.
     A short table over more alternatives than ``max_alternatives()`` is
     refused first (``CapExceededError``), before its layout is built.
     It keeps the checked table as integers, outside the fields (see the
@@ -289,46 +295,14 @@ class RumInstance:
                 f"{len(entries)} of {domain} entries"
             )
         layout = _layout(alts)
-        bit, pairs, position = layout.bit, layout.pairs, layout.index.get
-        # a menu spelled other than canonically -> its canonical menu, once
-        # it has passed the unknown-alternative and repetition checks; kept
-        # per call, never in the shared layout
-        respelled: dict[tuple, tuple[str, ...]] = {}
+        pairs = layout.pairs
         # each distinct probability once, by index; only strings are
         # memoised: others go to parse_rational, so a float still raises
         # InputError and an unhashable value is never a key
         values: list[Fraction] = []
         parsed: dict[str, int] = {}
-        table: dict[_Pair, Fraction] = {}
-        # flat[i]: index in values of pair i (pairs() order), -1 if absent
-        flat = [-1] * len(pairs)
-        for key, value in entries.items():
-            i = position(key)  # the keys are hashable: they were dict keys
-            if i is None:
-                try:
-                    y, menu = key
-                except (TypeError, ValueError) as exc:
-                    raise InputError(f"bad choice key {key!r}") from exc
-                menu = tuple(menu)
-                canon = respelled.get(menu)
-                if canon is None:
-                    try:
-                        mask = sum(map(bit.__getitem__, menu))
-                    except KeyError:
-                        mask = None
-                    if mask is None or y not in bit:
-                        raise InputError(f"unknown alternative in {key!r}")
-                    # a repeated bit carries, so the mask has fewer bits set
-                    if mask.bit_count() != len(menu):
-                        raise InputError(
-                            f"menu {menu!r} repeats an alternative"
-                        )
-                    canon = respelled[menu] = layout.by_mask[mask]
-                i = position((y, canon))
-                if i is None:
-                    if y not in bit:
-                        raise InputError(f"unknown alternative in {key!r}")
-                    raise InputError(f"{y!r} is not on the menu {menu!r}")
+
+        def read(key, value) -> int:
             k = parsed.get(value) if type(value) is str else None
             if k is None:
                 prob = parse_rational(value)
@@ -338,10 +312,18 @@ class RumInstance:
                 values.append(prob)
                 if type(value) is str:
                     parsed[value] = k
-            if flat[i] >= 0:
-                raise InputError(f"duplicate entry for {pairs[i]!r}")
-            table[pairs[i]] = values[k]
-            flat[i] = k
+            return k
+
+        if tuple(entries) == pairs:
+            # The keys are the layout's pairs in order, so each is distinct,
+            # canonical and present: only the values and the sums can fail.
+            flat = []
+            for key, value in entries.items():
+                k = parsed.get(value) if type(value) is str else None
+                flat.append(read(key, value) if k is None else k)
+            table = dict(zip(pairs, map(values.__getitem__, flat)))
+        else:
+            table, flat = _read_keys(layout, entries, values, read)
         # The keys are now distinct canonical pairs.  Each takes its integer
         # over the common denominator (0 where absent), in pairs() order,
         # so every menu's sum is the sum of its span.  Only a table with a
@@ -359,7 +341,7 @@ class RumInstance:
                 if not missing and total != den:
                     raise InputError(
                         f"choice probabilities on menu {menu!r} sum to "
-                        f"{Fraction(total, den)}"
+                        f"{_quote(Fraction(total, den))}"
                     )
             raise InputError(f"missing choice entries: {missing}")
         object.__setattr__(self, "choice", table)
@@ -386,6 +368,58 @@ class RumInstance:
 
     def probability(self, y: str, menu: tuple[str, ...]) -> Fraction:
         return self.choice[(y, menu)]
+
+
+def _read_keys(
+    layout: _Layout,
+    entries: dict,
+    values: list[Fraction],
+    read: Callable[[object, object], int],
+) -> tuple[dict[_Pair, Fraction], list[int]]:
+    """The checked table and ``flat`` (each pair's index in *values*, -1 if
+    absent) of a table not keyed by the layout's pairs in order.  Each key
+    is looked up in the layout, or checked and canonicalised, in key
+    order, and its value is found by *read*, its index in *values*."""
+    bit, pairs, position = layout.bit, layout.pairs, layout.index.get
+    # a menu spelled other than canonically -> its canonical menu, once
+    # it has passed the unknown-alternative and repetition checks; kept
+    # per call, never in the shared layout
+    respelled: dict[tuple, tuple[str, ...]] = {}
+    table: dict[_Pair, Fraction] = {}
+    flat = [-1] * len(pairs)
+    for key, value in entries.items():
+        i = position(key)  # the keys are hashable: they were dict keys
+        if i is None:
+            try:
+                y, menu = key
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad choice key {key!r}") from exc
+            menu = tuple(menu)
+            canon = respelled.get(menu)
+            if canon is None:
+                try:
+                    mask = sum(map(bit.__getitem__, menu))
+                except KeyError:
+                    mask = None
+                if mask is None or y not in bit:
+                    raise InputError(f"unknown alternative in {key!r}")
+                # a repeated bit carries, so the mask has fewer bits set
+                if mask.bit_count() != len(menu):
+                    raise InputError(
+                        f"menu {menu!r} repeats an alternative"
+                    )
+                canon = respelled[menu] = layout.by_mask[mask]
+            i = position((y, canon))
+            if i is None:
+                if y not in bit:
+                    raise InputError(f"unknown alternative in {key!r}")
+                raise InputError(f"{y!r} is not on the menu {menu!r}")
+        k = read(key, value)
+        if flat[i] >= 0:
+            raise InputError(f"duplicate entry for {pairs[i]!r}")
+        table[pairs[i]] = values[k]
+        flat[i] = k
+    return table, flat
 
 
 @dataclass(frozen=True)

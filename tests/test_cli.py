@@ -461,6 +461,104 @@ def test_drawn_rum_keys_parse_as_split_keys_do(alternatives, data):
     )
 
 
+_DOCUMENT_FAULTS = (
+    None, "negative", "sum", "float", "list", "reversed", "padded", "drop",
+    "no-bar", "unknown", "twice",
+)
+
+
+@st.composite
+def _documents_in_pairs_order(draw):
+    """A full-domain RUM document keyed as the layout spells its pairs,
+    in ``pairs()`` order, values spelled several ways, with at most one
+    fault: a value negative, off its menu's sum, a float or a list; or
+    one key, in its place, spelled with its menu reversed or padded,
+    dropped, without its separator, naming an unknown alternative, or
+    naming an earlier key's pair."""
+    n = draw(st.integers(1, 4))
+    alts = list(draw(st.permutations(("a", "b", "c", "d")))[:n])
+    entries = []
+    for menu in enumerate_menus(alts):
+        denom = draw(st.sampled_from((1, 2, 3, 5, 12, 20)))
+        cuts = sorted(
+            draw(st.integers(0, denom)) for _ in range(len(menu) - 1)
+        )
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
+        for y, part in zip(menu, parts):
+            p = F(part, denom)
+            value = draw(st.sampled_from(
+                (str(p), f" {p} ", f"{2 * p.numerator}/{2 * p.denominator}")
+            ))
+            entries.append([(y, menu), _canonical(y, menu), value])
+    fault = draw(st.sampled_from(_DOCUMENT_FAULTS))
+    i = draw(st.integers(0, len(entries) - 1))
+    (y, menu), _, value = entries[i]
+    if fault == "negative":
+        entries[i][2] = draw(st.sampled_from(("-1/3", "-0.5", "-1")))
+    elif fault == "sum":
+        entries[i][2] = str(F(value.strip()) + F(1, 7))
+    elif fault == "float":
+        entries[i][2] = float(F(value.strip()))
+    elif fault == "list":
+        entries[i][2] = [value]
+    elif fault == "reversed":
+        entries[i][1] = _canonical(y, menu[::-1])
+    elif fault == "padded":
+        entries[i][1] = f"{y}|{','.join(menu)},"
+    elif fault == "drop":
+        del entries[i]
+    elif fault == "no-bar":
+        entries[i][1] = y + ",".join(menu)
+    elif fault == "unknown":
+        entries[i][1] = _canonical("z", menu)
+    elif fault == "twice" and i > 0:
+        (y, menu), _, _ = entries[draw(st.integers(0, i - 1))]
+        entries[i][1] = f"{y}|,{','.join(menu)}"
+    choice = {key: value for _, key, value in entries}
+    return {"kind": "rum", "alternatives": alts, "choice": choice}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents_in_pairs_order())
+def test_documents_in_pairs_order_parse_as_split_keys_do(doc):
+    """Documents keyed canonically in ``pairs()`` order, which the parser
+    hands to the constructor keyed by the layout's pairs, and the same
+    documents with one fault: the parse matches the split one, table or
+    message."""
+    assert _parse_outcome(cli._parse_rum, doc) == _parse_outcome(
+        _split_parse_rum, doc
+    )
+
+
+_HUGE = 10**2500  # 1/(_HUGE + 1) + 1/(_HUGE + 3) has a 5001-digit denominator
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["rum", "bm"], {
+        "kind": "rum", "alternatives": ["x", "y"],
+        "choice": {"x|x": "1", "y|y": "1", "x|x,y": f"1/{_HUGE + 1}",
+                   "y|x,y": f"1/{_HUGE + 3}"},
+    }),
+    (["distance"], {
+        "kind": "credal", "space": {"labels": ["a", "b"]},
+        "P_set": [[f"1/{_HUGE + 1}", f"1/{_HUGE + 3}"]],
+        "Q_set": [["1/2", "1/2"]],
+    }),
+])
+def test_sums_past_the_digit_limit_are_input_errors(capsys, tmp_path, argv, doc):
+    """A menu sum or a probability vector's sum that ``str()`` cannot
+    print is bad input (exit 2), named by its digit counts."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, report = _capture_json(capsys, [*argv, str(path)])
+    assert code == 2
+    assert report["error"].endswith(
+        "sum to a fraction of 2501 digits over 5001 digits"
+        if argv == ["rum", "bm"] else
+        "sum to 1, got a fraction of 2501 digits over 5001 digits"
+    )
+
+
 def test_rum_parse_reads_the_layout_only_for_a_full_sized_table(monkeypatch):
     """A table with fewer keys than its alternatives have pairs is split
     key by key, so a short document over 40 alternatives is refused
@@ -832,14 +930,14 @@ def test_rum_bm_computes_the_sums_once(capsys, monkeypatch, warp_path):
     import nrb.blockmarschak, nrb.cli
 
     calls = []
-    original = nrb.blockmarschak.bm_polynomials
+    original = nrb.blockmarschak._bm_sums
 
     def counted(inst):
         calls.append(inst)
         return original(inst)
 
     for mod in (nrb.blockmarschak, nrb.cli):
-        monkeypatch.setattr(mod, "bm_polynomials", counted)
+        monkeypatch.setattr(mod, "_bm_sums", counted)
     code, report = _capture_json(capsys, ["rum", "bm", warp_path])
     assert (code, report["value"]) == (0, "2")
     assert report["representation"]["hoffman_ratio"] == "1"

@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -79,9 +81,41 @@ def test_non_rationals_raise_input_error(value):
         parse_rational(value)
 
 
+_DECIMAL_SPELLING = re.compile(
+    r"[-+]?(?P<whole>[\d_]*)(?:\.(?P<decimal>[\d_]*))?"
+    r"(?:[eE](?P<exp>[-+]?[\d_]+))?"
+)
+
+
+def _expands_past_the_digit_limit(text):
+    """Whether *text* is a decimal or exponent spelling from which
+    ``Fraction`` would build a numerator (the mantissa's digits and a
+    positive exponent's zeros) or a denominator (ten to the decimal
+    places less a negative exponent) of more digits than ``int``-string
+    conversion allows, a number it can take minutes to build."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    match = _DECIMAL_SPELLING.fullmatch(text.strip())
+    if not limit or match is None:
+        return False
+    try:
+        exp = int(match["exp"] or 0)
+    except ValueError:  # a malformed exponent, refused by Fraction too
+        return False
+    whole, places = (
+        len((match[name] or "").replace("_", ""))
+        for name in ("whole", "decimal")
+    )
+    return max(whole + places + exp, places - exp + 1) > limit
+
+
 def _parses_as_fraction_does(text):
     """``parse_rational(text)`` is ``Fraction(text.strip())``, and raises
-    ``InputError`` exactly where that raises."""
+    ``InputError`` exactly where that raises or where that would expand
+    past the digit limit."""
+    if _expands_past_the_digit_limit(text):
+        with pytest.raises(InputError):
+            parse_rational(text)
+        return
     try:
         want = F(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -116,3 +150,35 @@ def test_over_long_digit_strings_parse_as_fraction_does():
     digits = "1" * 5000
     for text in (digits, "-" + digits, digits + "/3", "3/" + digits):
         _parses_as_fraction_does(text)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit for ``int``-string conversion."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text, refused", [
+    ("1e4299", False), ("1e4300", True), ("-1E+4300", True),
+    ("1e-4299", False), ("1e-4300", True), ("0.5e-4299", True),
+    ("1e-3000000", True), ("1e-99999999", True), (" 1e9999999999 ", True),
+    ("0e99999999", True), ("10e4298", False), ("1_0e4299", True),
+    ("1" * 4299 + ".5", False), ("1" * 4300 + ".5", True),
+    ("0." + "0" * 4298 + "1", False), ("0." + "0" * 4299 + "1", True),
+])
+def test_decimal_and_exponent_spellings_are_held_to_the_digit_limit(
+    default_digit_limit, text, refused
+):
+    """A decimal or exponent spelling whose numerator or denominator
+    would have more digits than the limit is refused before it is
+    expanded (``"1e-99999999"`` would take minutes), and one at the limit
+    parses as ``Fraction`` parses it."""
+    if refused:
+        with pytest.raises(InputError, match="expands past 4300 digits"):
+            parse_rational(text)
+        assert _expands_past_the_digit_limit(text)
+    else:
+        assert parse_rational(text) == F(text.strip())

@@ -638,10 +638,12 @@ _NOT_PAIRS = (7, None, "abc", "ab", "aa", ("a",), ("a", ("a",), 0),
 
 
 @st.composite
-def _choice_tables(draw):
+def _choice_tables(draw, canonical=False):
     """Alternatives and a list of (key, value) entries: a valid table
     with its keys shuffled, menus permuted and values spelled several
-    ways, carrying at most one corruption."""
+    ways, carrying at most one corruption.  With *canonical* the keys
+    are the pairs in ``pairs()`` order, menus as enumerated, before the
+    corruption."""
     n = draw(st.integers(1, 4))
     alts = tuple(draw(st.permutations(("a", "b", "c", "d")))[:n])
     entries = []
@@ -652,9 +654,10 @@ def _choice_tables(draw):
         )
         parts = [b - a for a, b in zip([0] + cuts, cuts + [denom])]
         for y, part in zip(menu, parts):
-            given = tuple(draw(st.permutations(menu)))
+            given = menu if canonical else tuple(draw(st.permutations(menu)))
             entries.append([(y, given), _spell(draw, F(part, denom))])
-    entries = draw(st.permutations(entries))
+    if not canonical:
+        entries = draw(st.permutations(entries))
     corruption = draw(st.sampled_from(_CORRUPTIONS))
     i = draw(st.integers(0, len(entries) - 1))
     (y, menu), value = entries[i]
@@ -702,6 +705,47 @@ def test_validation_matches_reference(drawn):
 
     want = _outcome(lambda: _validate_reference(alts, dict(entries)))
     assert _outcome(built) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(_choice_tables(canonical=True))
+def test_tables_in_pairs_order_validate_as_the_reference_does(drawn):
+    """Tables keyed by the pairs in ``pairs()`` order, read by position,
+    carrying the same corruptions: the constructor accepts and rejects
+    exactly as the reference does, message for message."""
+    alts, entries = drawn
+
+    def built():
+        inst = RumInstance(alternatives=alts, choice=dict(entries))
+        return inst.alternatives, inst.choice
+
+    want = _outcome(lambda: _validate_reference(alts, dict(entries)))
+    assert _outcome(built) == want
+
+
+def test_only_tables_in_pairs_order_are_read_by_position(monkeypatch):
+    """A table whose keys are the layout's pairs in order skips the
+    key-by-key reader and is keyed by the layout's own pairs; the same
+    table in another key order or with a menu respelled takes it."""
+    seen = []
+    reader = rum._read_keys
+
+    def counted(*args):
+        seen.append(args[0].alternatives)
+        return reader(*args)
+
+    monkeypatch.setattr(rum, "_read_keys", counted)
+    base = random_rum(random.Random(3), 4)
+    alts, pairs = base.alternatives, base.pairs()
+    table = {(y, tuple(menu)): str(p) for (y, menu), p in base.choice.items()}
+    inst = RumInstance(alternatives=alts, choice=table)
+    assert seen == [] and inst == base
+    assert all(a is b for a, b in zip(inst.choice, pairs))
+    last = list(table.items())
+    respelled = dict(last[:-1] + [((last[-1][0][0], alts[::-1]), last[-1][1])])
+    for other in (dict(last[::-1]), respelled):
+        assert RumInstance(alternatives=alts, choice=other) == base
+    assert seen == [alts, alts]
 
 
 _PAIR_TABLE = {
