@@ -4,9 +4,10 @@ Reads exact-rational instance documents (JSON), dispatches to the
 library, and prints a report with any certificate re-verified from the
 serialized numbers before it is emitted.  Exit codes: 0 for a computed
 value or a condition that holds, 1 for a violated condition (with
-certificate), 2 for input problems, 3 for refused oversized inputs, 4
-for an exact self-check that failed or any unexpected exception (a
-defect, never an input problem).  No failure exits 1.
+certificate), 2 for input problems, 3 for refused oversized inputs or
+answers too long to print, 4 for an exact self-check that failed or any
+unexpected exception (a defect, never an input problem).  No failure
+exits 1.
 
 Reports are deterministic byte for byte apart from the timing field.
 All rationals appear as strings; scalar fields carry a sibling
@@ -67,7 +68,6 @@ from .rum import (
     _arsp_star_check,
     _layout,
     build_matrix,
-    enumerate_orderings,
     evaluate_arsp,
     evaluate_arsp_star,
     rum_min_eps,
@@ -204,14 +204,12 @@ def _pool_representation(report: PoolingReport) -> dict:
 
 def _rum_representation(inst: RumInstance, report: RumReport) -> dict:
     """The nonzero entries of the report's vectors, keyed by ordering
-    (``"a,b,c"``) or by the layout's pair keys (``"y|a,b"``); an
-    ordering's key is joined only for a nonzero weight."""
+    (``"a,b,c"``, joined from the sparse mixture's keys) or by the
+    layout's pair keys (``"y|a,b"``)."""
     rep: dict = {"kind": report.kind}
     if report.pi is not None:
-        orderings = enumerate_orderings(inst.alternatives)
         rep["pi"] = {
-            ",".join(o): format_rational(v)
-            for o, v in zip(orderings, report.pi) if v != 0
+            ",".join(o): format_rational(v) for o, v in report.pi.items()
         }
     for name in ("error", "residual"):
         values = getattr(report, name)

@@ -18,6 +18,11 @@ before ``Fraction`` expands it: its numerator, as written with the
 exponent's zeros, or its denominator, a power of ten, may not have more
 digits than that.  So ``"1e-99999999"`` is refused at once instead of
 building a hundred-million-digit power of ten.
+
+The same limit holds on the way out.  A value whose numerator or
+denominator ``str()`` cannot print is refused by the formatters with
+``CapExceededError`` (exit 3 on the command line), which names its
+digit counts instead of the value.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 
 __all__ = ["parse_rational", "format_rational", "decimal_approx"]
 
@@ -95,6 +100,11 @@ def _digits(value: int) -> int:
     return count
 
 
+def _sized(num: int, den: int) -> str:
+    """The fraction ``num/den`` named by its digit counts."""
+    return f"a fraction of {_digits(num)} digits over {_digits(den)} digits"
+
+
 def _quote(value: Fraction) -> str:
     """``str(value)`` for a message, or, where a numerator or denominator
     passes the interpreter's limit for ``int``-string conversion, which
@@ -102,24 +112,37 @@ def _quote(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        return (
-            f"a fraction of {_digits(value.numerator)} digits over "
-            f"{_digits(value.denominator)} digits"
-        )
+        return _sized(value.numerator, value.denominator)
+
+
+def _unprintable(num: int, den: int) -> CapExceededError:
+    """The refusal to format ``num/den``, whose ``str()`` raised past the
+    interpreter's limit for ``int``-string conversion."""
+    return CapExceededError(
+        f"cannot print {_sized(num, den)}: past the limit of "
+        f"{sys.get_int_max_str_digits()} digits for int-string conversion"
+    )
 
 
 def format_rational(value: Fraction) -> str:
-    """Render as ``"a/b"`` (or ``"a"`` for integers), lowest terms."""
-    if type(value) is Fraction:
-        return str(value)
-    return str(Fraction(value))
+    """Render as ``"a/b"`` (or ``"a"`` for integers), lowest terms.
+    Raises ``CapExceededError`` where ``str()`` would pass the digit
+    limit."""
+    q = value if type(value) is Fraction else Fraction(value)
+    try:
+        return str(q)
+    except ValueError:
+        raise _unprintable(q.numerator, q.denominator) from None
 
 
 def _format_ratio(num: int, den: int) -> str:
     """``format_rational(Fraction(num, den))`` for integers with
     ``den > 0``, without building the ``Fraction``."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError:
+        raise _unprintable(num // g, den // g) from None
 
 
 def decimal_approx(value: Fraction, places: int = 12) -> str:
@@ -127,10 +150,14 @@ def decimal_approx(value: Fraction, places: int = 12) -> str:
 
     Convenience only; the result is approximate whenever the denominator
     has prime factors other than 2 and 5.  Rounding is round-half-even,
-    computed exactly.
+    computed exactly.  Raises ``CapExceededError`` where the digits would
+    pass the limit for ``int``-string conversion.
     """
     q = Fraction(value)
     scaled = round(q * 10**places)  # exact: Fraction.__round__ is integer
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    try:
+        digits = str(abs(scaled)).rjust(places + 1, "0")
+    except ValueError:
+        raise _unprintable(scaled, 10**places) from None
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

@@ -508,15 +508,17 @@ class TaggedTrialSequence:
 class RumReport:
     """Optimal approximation at the reported level.
 
-    ``kind`` is ``"additive"`` or ``"residual"``.  ``pi`` aligns with
-    the ordering enumeration, ``error`` and ``residual`` with the pair
-    enumeration.  ``pi`` is omitted in the residual report when the
-    whole mass is residual (eps = 1); ``residual`` is omitted at eps 0.
+    ``kind`` is ``"additive"`` or ``"residual"``.  ``pi`` is the mixture,
+    sparse: it maps each ordering of positive weight to its weight, in
+    ``enumerate_orderings`` order, so reading it needs no enumeration.
+    ``error`` and ``residual`` align with the pair enumeration.  ``pi`` is
+    omitted in the residual report when the whole mass is residual
+    (eps = 1); ``residual`` is omitted at eps 0.
     """
 
     kind: str
     epsilon_min: Fraction
-    pi: Optional[tuple[Fraction, ...]] = None
+    pi: Optional[dict[tuple[str, ...], Fraction]] = None
     error: Optional[tuple[Fraction, ...]] = None
     residual: Optional[tuple[Fraction, ...]] = None
 
@@ -594,13 +596,12 @@ def _min_eps_with_stakes(
     stakes over the pairs (the betting side)."""
     matrix = build_matrix(inst)
     columns = list(zip(*matrix.rows))
-    eps, pi, error, stakes = _l1_fit(
+    eps, weights, error, stakes = _l1_fit(
         [inst.choice[pair] for pair in matrix.pairs], columns,
         (range(len(columns)),),
     )
-    report = RumReport(
-        kind="additive", epsilon_min=eps, pi=pi, error=error
-    )
+    pi = {o: w for o, w in zip(matrix.orderings, weights) if w}
+    report = RumReport(kind="additive", epsilon_min=eps, pi=pi, error=error)
     return report, matrix, stakes
 
 
@@ -758,12 +759,15 @@ def _residual_fit(
     eps = sol.objective_value
     mu = sol.primal[:n_ord]
     rho = sol.primal[n_ord : n_ord + m]
-    pi = tuple(v / (1 - eps) for v in mu) if eps != 1 else None
+    support = [j for j, v in enumerate(mu) if v]
+    pi = None
+    if eps != 1:
+        pi = {matrix.orderings[j]: mu[j] / (1 - eps) for j in support}
     residual = None
     if eps != 0:
         residual = tuple(v / eps for v in rho)
-        _verify_residual_kernel(matrix, residual, eps)
-    support = [j for j, v in enumerate(mu) if v]  # in integers, with rho
+        _verify_residual_kernel(inst._layout, residual)
+    # the decomposition in integers, over mu's support and all of rho
     nums, den = _int_row([mu[j] for j in support] + list(rho))
     for row, mass, p in zip(matrix.rows, nums[len(support) :], p0):
         fitted = sum(w for j, w in zip(support, nums) if row[j])
@@ -776,15 +780,13 @@ def _residual_fit(
 
 
 def _verify_residual_kernel(
-    matrix: ChoiceMatrix, residual: Sequence[Fraction], eps: Fraction
+    layout: _Layout, residual: Sequence[Fraction]
 ) -> None:
-    """The recovered residual must be a probability vector on each menu."""
+    """The recovered residual, in ``pairs()`` order, must be a probability
+    vector on each menu: nonnegative, and one over each menu's span."""
     if any(v < 0 for v in residual):
         raise InternalCheckError("negative residual mass")
-    totals: dict[tuple[str, ...], Fraction] = {}
-    for idx, (_, menu) in enumerate(matrix.pairs):
-        totals[menu] = totals.get(menu, _ZERO) + residual[idx]
-    if any(total != 1 for total in totals.values()):
+    if any(sum(residual[s.start:s.stop]) != 1 for _, _, s in layout.menus):
         raise InternalCheckError("residual menu masses must each be one")
 
 
@@ -817,12 +819,11 @@ def _arsp_star_check(
     if report.epsilon_min <= tol:
         return None, report, matrix
     h = _unit_shift(duals)
-    menu_top: dict[tuple[str, ...], Fraction] = {}
-    for v, (_, menu) in zip(h, matrix.pairs):
-        menu_top[menu] = max(v, menu_top.get(menu, _ZERO))
-    lifted = [
-        v + _ONE - menu_top[menu] for v, (_, menu) in zip(h, matrix.pairs)
-    ]
+    lifted = []
+    for _, _, span in inst._layout.menus:
+        part = h[span.start:span.stop]
+        lift = _ONE - max(part)
+        lifted += [v + lift for v in part]
     cert = TaggedTrialSequence(tags=tuple(_clear_denominators(lifted)))
     lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, tol)
     if not lhs > rhs:

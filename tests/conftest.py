@@ -4,6 +4,7 @@ bit-identical)."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,15 @@ from nrb import (
     enumerate_orderings,
     instance_from_mixture,
 )
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit for ``int``-string conversion."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ from nrb import (
     RumInstance,
     bm_negative_norm,
     bm_polynomials,
-    build_matrix,
     hoffman_ratio,
     instance_from_mixture,
     rum_min_eps,
@@ -125,7 +124,6 @@ def test_mixture_polynomials_are_rank_marginals():
     for n in (3, 4):
         alts = tuple(str(i + 1) for i in range(n))
         inst = random_rationalizable_rum(rng, n)
-        matrix = build_matrix(inst)
         # recover the weights by re-solving; level zero makes them exact
         report = rum_min_eps(inst)
         assert report.epsilon_min == 0
@@ -133,11 +131,11 @@ def test_mixture_polynomials_are_rank_marginals():
         full = tuple(inst.alternatives)
         for y in inst.alternatives:
             first = sum(
-                (w for w, o in zip(report.pi, matrix.orderings) if o[0] == y),
+                (w for o, w in report.pi.items() if o[0] == y),
                 F(0),
             )
             last = sum(
-                (w for w, o in zip(report.pi, matrix.orderings) if o[-1] == y),
+                (w for o, w in report.pi.items() if o[-1] == y),
                 F(0),
             )
             assert k[(y, full)] == first

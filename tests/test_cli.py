@@ -20,6 +20,7 @@ from nrb import (
     InputError,
     InternalCheckError,
     RumInstance,
+    RumReport,
     bm_polynomials,
     enumerate_menus,
     instance_from_mixture,
@@ -559,6 +560,68 @@ def test_sums_past_the_digit_limit_are_input_errors(capsys, tmp_path, argv, doc)
     )
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["rum", "bm"], "a fraction of 5001 digits over 5001 digits"),
+    (["rum", "min-eps"], "a fraction of 1 digits over 5001 digits"),
+    (["rum", "min-eps", "--residual"],
+     "a fraction of 1 digits over 5001 digits"),
+], ids=["bm", "min-eps", "residual"])
+def test_answers_past_the_digit_limit_are_refused(
+    capsys, tmp_path, default_digit_limit, argv, value
+):
+    """A valid table whose exact answer ``str()`` cannot print, here
+    with Block-Marschak sums and program values over a 5001-digit
+    denominator, is refused with exit 3, named by its digit counts."""
+    a, b = F(1, _HUGE + 1), F(1, _HUGE + 3)
+    choice = {
+        "x|x": "1", "y|y": "1", "z|z": "1",
+        "x|x,y": str(a), "y|x,y": str(1 - a),
+        "x|x,z": "1/2", "z|x,z": "1/2", "y|y,z": "1/2", "z|y,z": "1/2",
+        "x|x,y,z": str(b), "y|x,y,z": str(1 - b), "z|x,y,z": "0",
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"kind": "rum", "alternatives": ["x", "y", "z"], "choice": choice}
+    ))
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert json.loads(captured.out)["error"] == (
+        f"cannot print {value}: past the limit of 4300 digits for "
+        "int-string conversion"
+    )
+
+
+def test_mixture_past_the_cap_renders_from_its_keys(monkeypatch):
+    """The report's sparse mixture is rendered from its own keys, with no
+    enumeration of the orderings, so an 8-alternative report prints under
+    the default cap of 7."""
+    alts = tuple("abcdefgh")
+    mixture = {0: "abcdefgh", 20000: "dhfebcag", 40319: "hgfedcba"}
+    weights = dict(zip(mixture, (F(1, 2), F(1, 3), F(1, 6))))
+    monkeypatch.setenv("NRB_MAX_ALTERNATIVES", "8")
+    orderings = list(itertools.permutations(alts))
+    assert all(orderings[j] == tuple(o) for j, o in mixture.items())
+    inst = instance_from_mixture(
+        alts, [weights.get(j, F(0)) for j in range(len(orderings))]
+    )
+    report = RumReport(
+        kind="additive", epsilon_min=F(0),
+        pi={tuple(mixture[j]): v for j, v in weights.items()},
+        error=(F(0),) * len(inst.pairs()),
+    )
+    monkeypatch.delenv("NRB_MAX_ALTERNATIVES")
+    assert cli._rum_representation(inst, report) == {
+        "kind": "additive",
+        "pi": {
+            "a,b,c,d,e,f,g,h": "1/2",
+            "d,h,f,e,b,c,a,g": "1/3",
+            "h,g,f,e,d,c,b,a": "1/6",
+        },
+        "error": {},
+    }
+
+
 def test_rum_parse_reads_the_layout_only_for_a_full_sized_table(monkeypatch):
     """A table with fewer keys than its alternatives have pairs is split
     key by key, so a short document over 40 alternatives is refused
@@ -908,6 +971,8 @@ def test_each_command_solves_and_builds_once(
     sk_path = tmp_path / "sk.json"
     sk_path.write_text(json.dumps(_rum_doc(skewed_triples)))
     cases = (
+        (["rum", "min-eps", str(sk_path)], 0, 1, 1),
+        (["rum", "min-eps", "--residual", str(sk_path)], 0, 1, 1),
         (["rum", "check", "--eps", "1", str(sk_path)], 0, 1, 1),
         (["rum", "check", "--eps", "1/20", str(sk_path)], 1, 1, 1),
         (["rum", "check", "--star", "--eps", "1/50", str(sk_path)], 1, 1, 1),

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nrb import InputError, decimal_approx, format_rational, parse_rational
+from nrb import (
+    CapExceededError,
+    InputError,
+    decimal_approx,
+    format_rational,
+    parse_rational,
+)
+from nrb.rational import _format_ratio
 
 
 def test_accepts_fraction_int_and_strings():
@@ -152,15 +159,6 @@ def test_over_long_digit_strings_parse_as_fraction_does():
         _parses_as_fraction_does(text)
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default limit for ``int``-string conversion."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize("text, refused", [
     ("1e4299", False), ("1e4300", True), ("-1E+4300", True),
     ("1e-4299", False), ("1e-4300", True), ("0.5e-4299", True),
@@ -182,3 +180,26 @@ def test_decimal_and_exponent_spellings_are_held_to_the_digit_limit(
         assert _expands_past_the_digit_limit(text)
     else:
         assert parse_rational(text) == F(text.strip())
+
+
+def test_formatters_refuse_values_past_the_digit_limit(default_digit_limit):
+    """A value with a numerator or denominator of more than 4300 digits
+    is refused with ``CapExceededError`` naming its digit counts, by each
+    formatter; one of 4300 digits still prints."""
+    assert format_rational(F(1, 10**4299)) == "1/1" + "0" * 4299
+    assert _format_ratio(10**4300, 10**4300) == "1"
+    assert decimal_approx(F(1, 10**4300)) == "0.000000000000"
+    refusals = [
+        (lambda: format_rational(F(1, 10**4300)), 1, 4301),
+        (lambda: format_rational(-(10**4300)), 4301, 1),
+        (lambda: _format_ratio(7, 7 * 10**4300), 1, 4301),
+        (lambda: _format_ratio(10**4300 + 1, 2), 4301, 1),
+        (lambda: decimal_approx(F(10**4288)), 4301, 13),
+    ]
+    for call, num, den in refusals:
+        with pytest.raises(CapExceededError) as info:
+            call()
+        assert str(info.value) == (
+            f"cannot print a fraction of {num} digits over {den} digits: "
+            "past the limit of 4300 digits for int-string conversion"
+        )

@@ -70,12 +70,13 @@ def test_skewed_triples_min_eps(skewed_triples):
     report = rum_min_eps(skewed_triples)
     assert report.kind == "additive"
     assert report.epsilon_min == F(1, 10)
-    assert sum(report.pi) == 1 and all(w >= 0 for w in report.pi)
+    weights = report.pi.values()
+    assert sum(weights) == 1 and all(w >= 0 for w in weights)
     assert sum(abs(e) for e in report.error) == F(1, 10)
     matrix = build_matrix(skewed_triples)
     for i, (y, menu) in enumerate(matrix.pairs):
         predicted = sum(
-            (report.pi[j] for j in range(len(report.pi))
+            (report.pi.get(o, F(0)) for j, o in enumerate(matrix.orderings)
              if matrix.rows[i][j]),
             F(0),
         )
@@ -111,11 +112,11 @@ def test_skewed_triples_residual_level(skewed_triples):
     assert report.epsilon_min == F(1, 40)
     eps = report.epsilon_min
     matrix = build_matrix(skewed_triples)
-    assert sum(report.pi) == 1
+    assert sum(report.pi.values()) == 1
     # the residual splits into per-menu probability vectors
     for i, (y, menu) in enumerate(matrix.pairs):
         predicted = sum(
-            (report.pi[j] for j in range(len(report.pi))
+            (report.pi.get(o, F(0)) for j, o in enumerate(matrix.orderings)
              if matrix.rows[i][j]),
             F(0),
         )
@@ -1442,7 +1443,9 @@ def _reference_residual_audit(matrix, p0, sol):
     rho = sol.primal[n_ord : n_ord + m]
     try:
         if eps != 0:
-            rum._verify_residual_kernel(matrix, [v / eps for v in rho], eps)
+            rum._verify_residual_kernel(
+                rum._layout(matrix.orderings[0]), [v / eps for v in rho]
+            )
     except InternalCheckError as exc:
         return str(exc)
     for i in range(m):
@@ -1500,6 +1503,98 @@ def test_residual_audit_matches_fraction_reference(
     p0 = [inst.probability(y, menu) for y, menu in matrix.pairs]
     assert got == _reference_residual_audit(matrix, p0, seen[0])
     if kind == "none":
+        assert got is None
+
+
+def _reference_menu_kernel(pairs, residual):
+    """The residual kernel check as it was, summing by menu key: the first
+    failing check's message, or None."""
+    if any(v < 0 for v in residual):
+        return "negative residual mass"
+    totals = {}
+    for (_, menu), v in zip(pairs, residual):
+        totals[menu] = totals.get(menu, F(0)) + v
+    if any(total != 1 for total in totals.values()):
+        return "residual menu masses must each be one"
+    return None
+
+
+def _reference_menu_lift(h, pairs):
+    """The ArSP* lift as it was, keyed by menu: every menu's top entry of
+    *h* raised to one."""
+    menu_top = {}
+    for v, (_, menu) in zip(h, pairs):
+        menu_top[menu] = max(v, menu_top.get(menu, F(0)))
+    return [v + 1 - menu_top[menu] for v, (_, menu) in zip(h, pairs)]
+
+
+def _near_rum(rng, n, denom=20):
+    """A mixture of three random orderings with 1/denom of one menu's mass
+    moved from one member to another, so it lies near the RUM polytope."""
+    alts = tuple(str(i + 1) for i in range(n))
+    weights = [F(0)] * len(enumerate_orderings(alts))
+    for v in (F(1, 2), F(1, 3), F(1, 6)):
+        weights[rng.randrange(len(weights))] += v
+    inst = instance_from_mixture(alts, weights)
+    menu = rng.choice([m for m in enumerate_menus(inst.alternatives) if m[1:]])
+    table = dict(inst.choice)
+    y = max(menu, key=lambda a: table[(a, menu)])
+    z = rng.choice([a for a in menu if a != y])
+    table[(y, menu)] -= F(1, denom)
+    table[(z, menu)] += F(1, denom)
+    return RumInstance(alternatives=inst.alternatives, choice=table)
+
+
+@given(
+    st.integers(2, 4),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.fractions(-1, 1, max_denominator=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_span_lift_and_kernel_match_menu_keyed_references(
+    n, near, seed, index, amount
+):
+    """The ArSP* lift and the residual kernel check, which read each
+    menu's span of positions from the layout, give the tags and the first
+    failing message that the menu-keyed versions give, on random and near
+    tables.  The optimal duals already top every menu at the global top,
+    so the lift is also run on the duals with one entry moved by
+    *amount*, and the kernel on the residual with one entry moved."""
+    inst = (_near_rum if near else random_rum)(random.Random(seed), n)
+    matrix = build_matrix(inst)
+    report, duals = rum._residual_fit(inst, matrix)
+    cert = check_eps_arsp_star(inst, 0)
+    if report.epsilon_min == 0:
+        assert cert is None
+        residual = [F(1, len(menu)) for _, menu in matrix.pairs]
+    else:
+        lifted = _reference_menu_lift(duality._unit_shift(duals), matrix.pairs)
+        assert cert.tags == tuple(rum._clear_denominators(lifted))
+        residual = list(report.residual)
+    moved = list(duals)
+    moved[index % len(moved)] += amount
+    if len(set(moved)) > 1:  # a constant vector has no unit shift
+        lifted = _reference_menu_lift(duality._unit_shift(moved), matrix.pairs)
+        fit, evaluate = rum._residual_fit, rum.evaluate_arsp_star
+        rum._residual_fit = lambda *_: (
+            rum.RumReport(kind="residual", epsilon_min=F(1)), tuple(moved)
+        )
+        rum.evaluate_arsp_star = lambda *_: (F(1), F(0))
+        try:
+            cert = rum._arsp_star_check(inst, 0)[0]
+        finally:
+            rum._residual_fit, rum.evaluate_arsp_star = fit, evaluate
+        assert cert.tags == tuple(rum._clear_denominators(lifted))
+    residual[index % len(residual)] += amount
+    try:
+        rum._verify_residual_kernel(inst._layout, residual)
+        got = None
+    except InternalCheckError as exc:
+        got = str(exc)
+    assert got == _reference_menu_kernel(matrix.pairs, residual)
+    if amount == 0:
         assert got is None
 
 
