@@ -55,8 +55,8 @@ the matrix's n!-wide rows are built on first read.  Scoring a tag vector
 finds the best single ordering in O(n^2 2^n) steps.  The approximation
 programs read the rows, so the alternative count is capped: 7 by
 default, or the value of the ``NRB_MAX_ALTERNATIVES`` environment
-variable.  The cap is decided in ``enumerate_orderings`` on every call,
-and it is the only function taking an explicit ``cap=``.
+variable, the one setting of the cap.  The cap is decided in
+``enumerate_orderings`` on every call.
 """
 
 from __future__ import annotations
@@ -129,14 +129,14 @@ def enumerate_menus(alternatives: Sequence[str]) -> tuple[tuple[str, ...], ...]:
 
 
 def enumerate_orderings(
-    alternatives: Sequence[str], cap: Optional[int] = None
+    alternatives: Sequence[str]
 ) -> tuple[tuple[str, ...], ...]:
     """All strict orderings (best alternative first), lexicographic by
-    position in the alternative list.  Refuses above *cap*, by default
-    ``max_alternatives()``, on every call; below it, orderings of strings
-    come from the shared layout, so they are enumerated once per tuple."""
+    position in the alternative list.  Refuses above ``max_alternatives()``
+    on every call; below it, orderings of strings come from the shared
+    layout, so they are enumerated once per tuple."""
     alts = tuple(alternatives)
-    limit = cap if cap is not None else max_alternatives()
+    limit = max_alternatives()
     if len(alts) > limit:
         raise CapExceededError(
             f"{len(alts)} alternatives exceed the enumeration cap of {limit}"
@@ -329,8 +329,7 @@ class RumInstance:
         # so every menu's sum is the sum of its span.  Only a table with a
         # missing pair or a bad sum walks the menus in order, so that the
         # first fault is named.
-        den = math.lcm(*{p.denominator for p in values})
-        ints = [p.numerator * (den // p.denominator) for p in values]
+        ints, den = _int_row(values)
         ints.append(0)  # for the index -1
         nums = tuple(map(ints.__getitem__, flat))
         totals = [sum(nums[s.start:s.stop]) for _, _, s in layout.menus]
@@ -555,7 +554,7 @@ def instance_from_mixture(
     alternatives: Sequence[str], weights: Sequence[object]
 ) -> RumInstance:
     """The stochastic choice function of a mixture over orderings."""
-    alts = tuple(alternatives)
+    alts = tuple(str(a) for a in alternatives)  # as ``RumInstance`` keys them
     orderings = enumerate_orderings(alts)
     w = tuple(parse_rational(v) for v in weights)
     if len(w) != len(orderings):
@@ -682,10 +681,12 @@ def evaluate_arsp_star(
     return lhs, (1 - tol) * best + n_menus * tol * max(t)
 
 
-def _clear_denominators(values: Sequence[Fraction]) -> list[int]:
-    ints = _int_row(values)[0]
-    g = math.gcd(*ints)
-    return [t // g for t in ints] if g > 1 else ints
+def _tag_vector(values: Sequence[Fraction]) -> TaggedTrialSequence:
+    """*values* shifted and scaled to [0, 1] (``_unit_shift``) and cleared
+    of denominators, as a tag vector.  The tags are coprime with no gcd
+    step: the entry 1 becomes the common denominator, and each prime of
+    it divides some entry's denominator fully, so not that entry's tag."""
+    return TaggedTrialSequence(tags=tuple(_int_row(_unit_shift(values))[0]))
 
 
 def check_eps_arsp(
@@ -704,16 +705,15 @@ def _arsp_check(
     inst: RumInstance, eps: object
 ) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
     """``check_eps_arsp`` with the additive report and the matrix it
-    was decided on.  The certificate is the stakes shifted to be
-    nonnegative, cleared of denominators and reduced by the gcd, and it
-    is verified to violate strictly by substitution."""
+    was decided on.  The certificate is the stakes' ``_tag_vector``,
+    verified to violate strictly by substitution."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     report, matrix, stakes = _min_eps_with_stakes(inst)
     if report.epsilon_min <= tol:
         return None, report, matrix
-    cert = TaggedTrialSequence(tags=tuple(_clear_denominators(_unit_shift(stakes))))
+    cert = _tag_vector(stakes)
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("tag certificate fails to violate")
@@ -724,17 +724,18 @@ def rum_residual_min_eps(inst: RumInstance) -> RumReport:
     """Least eps with ``P0 = (1 - eps) A pi + eps R`` where R assigns
     each menu a probability vector over its members.  Always solvable:
     eps = 1 puts everything in the residual."""
-    return _residual_fit(inst, build_matrix(inst))[0]
+    return _residual_fit(inst)[0]
 
 
 def _residual_fit(
-    inst: RumInstance, matrix: ChoiceMatrix
-) -> tuple[RumReport, tuple[Fraction, ...]]:
-    """Solve the residual program on *matrix*: variables mu per ordering,
-    rho per pair, then eps; ``A mu + rho = p0`` per pair (mixture mass
-    plus residual mass reproduce the choice function) and
-    ``sum mu + eps = 1``; minimize eps.  Returns the report and the
-    optimal duals y of the pair rows."""
+    inst: RumInstance
+) -> tuple[RumReport, ChoiceMatrix, tuple[Fraction, ...]]:
+    """Solve the residual program: variables mu per ordering, rho per
+    pair, then eps; ``A mu + rho = p0`` per pair (mixture mass plus
+    residual mass reproduce the choice function) and ``sum mu + eps = 1``;
+    minimize eps.  Returns the report, the matrix and the optimal duals y
+    of the pair rows."""
+    matrix = build_matrix(inst)
     p0 = [inst.choice[pair] for pair in matrix.pairs]
     m = len(matrix.pairs)
     n_ord = len(matrix.orderings)
@@ -776,7 +777,7 @@ def _residual_fit(
     report = RumReport(
         kind="residual", epsilon_min=eps, pi=pi, residual=residual
     )
-    return report, sol.dual[:m]
+    return report, matrix, sol.dual[:m]
 
 
 def _verify_residual_kernel(
@@ -799,9 +800,8 @@ def check_eps_arsp_star(
     that is, when the residual level is at most *eps*.  Otherwise the
     residual program's pair-row duals y (with y0 on the mass row) give
     ``y . p0 + y0 (1 - eps) = level - y0 eps > 0``, since ``y0 <= 1``.
-    They are shifted and scaled to [0, 1], lifted per menu (every
-    menu's top tag equal to the global top), cleared to integers,
-    gcd-reduced, and verified to violate the inequality strictly.
+    They are shifted and scaled to [0, 1], cleared to coprime integers,
+    and verified to violate the inequality strictly.
     """
     return _arsp_star_check(inst, eps)[0]
 
@@ -814,17 +814,11 @@ def _arsp_star_check(
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("level must lie in [0, 1]")
-    matrix = build_matrix(inst)
-    report, duals = _residual_fit(inst, matrix)
+    report, matrix, duals = _residual_fit(inst)
     if report.epsilon_min <= tol:
         return None, report, matrix
-    h = _unit_shift(duals)
-    lifted = []
-    for _, _, span in inst._layout.menus:
-        part = h[span.start:span.stop]
-        lift = _ONE - max(part)
-        lifted += [v + lift for v in part]
-    cert = TaggedTrialSequence(tags=tuple(_clear_denominators(lifted)))
+    # no lift per menu: duals are <= 0 and residual mass zeroes one per menu
+    cert = _tag_vector(duals)
     lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("residual tag certificate fails to violate")
