@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import mul, neg
+from math import lcm
+from operator import mul, neg, sub
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError
@@ -182,13 +183,26 @@ def _unit_shift(values: Sequence[Fraction]) -> _Vector:
     return tuple((v - shift) / top for v in values)
 
 
-def _dot(ints: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """``ints . values``, summed in integers: directly when every value
-    is an ``int``, else over the values' least common denominator."""
-    if {*map(type, values)} <= {int}:
-        return sum(map(mul, ints, values))
-    nums, den = _int_row(values)
-    return Fraction(sum(map(mul, ints, nums)), den)
+def _int_columns(
+    vectors: Sequence[Sequence[Fraction]],
+) -> tuple[list[Sequence[int]], int]:
+    """*vectors* as integers over one common denominator; a vector of
+    ``int`` values is read as it is."""
+    rows = [
+        (v, 1) if {*map(type, v)} <= {int} else _int_row(v) for v in vectors
+    ]
+    d = lcm(*(den for _, den in rows))
+    return [
+        ints if den == d else [a * (d // den) for a in ints]
+        for ints, den in rows
+    ], d
+
+
+def _combine(
+    cols: Sequence[Sequence[int]], weights: Sequence[int]
+) -> list[int]:
+    """``sum_j weights_j cols_j``, point by point."""
+    return [sum(map(mul, weights, row)) for row in zip(*cols)]
 
 
 def _l1_fit(
@@ -235,29 +249,34 @@ def _l1_fit(
     if sol.status != OPTIMAL:  # pragma: no cover - feasible and bounded
         raise InternalCheckError(f"L1-fit program came back {sol.status}")
 
+    # The audit runs in integers: t and G over d, the used weights over
+    # w_den, so the error t - G u is e over d * w_den; the stakes over
+    # y_den, so f . t and each payoff f . G_j are over y_den * d.
     value = sol.objective_value
     weights = sol.primal[n:]
+    (t, *g), d = _int_columns([target, *columns])
     used = [j for j, u in enumerate(weights) if u]
     w, w_den = _int_row([weights[j] for j in used])
-    fitted = zip(*map(columns.__getitem__, used)) if used else [()] * n
-    error = tuple(t - Fraction(_dot(w, g), w_den) for t, g in zip(target, fitted))
-    stakes = tuple(sol.dual[n + x] - sol.dual[x] for x in range(n))
-    if sum(abs(e) for e in error) != value:
+    fitted = _combine([g[j] for j in used], w) if used else [0] * n
+    e = [a * w_den - v for a, v in zip(t, fitted)]
+    if sum(map(abs, e)) * value.denominator != value.numerator * d * w_den:
         raise InternalCheckError("fitted error norm disagrees with the value")
-    norm = max(abs(f) for f in stakes)
-    if norm > 1:
+    y, y_den = _int_row(sol.dual[:2 * n])
+    f = list(map(sub, y[n:], y[:n]))
+    norm = max(map(abs, f))
+    if norm > y_den:
         raise InternalCheckError("stakes exceed unit sup norm")
-    if value > 0 and norm != 1:
+    if value > 0 and norm != y_den:
         raise InternalCheckError("positive value but stakes below unit norm")
-    # f . t and each payoff f . G_j, times f_den.
-    f, f_den = _int_row(stakes)
-    gain = _dot(f, target)
-    payoffs = [_dot(f, col) for col in columns]
+    payoffs = [sum(map(mul, f, col)) for col in g]
     if any(payoffs[j] > 0 for j in set(range(k)).difference(*blocks)):
         raise InternalCheckError("stakes gain on an unconstrained column")
     best = sum(max(payoffs[j] for j in block) for block in blocks)
-    if (gain - best) * value.denominator != value.numerator * f_den:
+    gap = sum(map(mul, f, t)) - best
+    if gap * value.denominator != value.numerator * y_den * d:
         raise InternalCheckError("stakes gap disagrees with the value")
+    error = tuple(Fraction(v, d * w_den) if v else _ZERO for v in e)
+    stakes = tuple(Fraction(v, y_den) if v else _ZERO for v in f)
     return value, weights, error, stakes
 
 
@@ -382,6 +401,7 @@ def contamination_feasible(
     sol = solve_lp(lp)
 
     if sol.status == OPTIMAL:
+        _check_decomposition(p, q_set, r_set, tol, sol.primal)
         q_weights = sol.primal[:nq]
         if tol == 0:
             residual = None
@@ -392,7 +412,6 @@ def contamination_feasible(
             )
         else:
             residual = mixture(sol.primal[nq:], r_set)
-        _verify_decomposition(p, q_set, q_weights, residual, tol)
         return ContaminationDecomposition(
             epsilon=tol, q_weights=q_weights, residual=residual
         )
@@ -416,19 +435,39 @@ def contamination_feasible(
     return ContaminationRefusal(stakes=stakes, lhs=lhs, rhs=rhs)
 
 
-def _verify_decomposition(
+def _check_decomposition(
     p: ProbVector,
     q_set: CredalSet,
-    q_weights: tuple[Fraction, ...],
-    residual: Optional[ProbVector],
+    r_set: Union[CredalSet, FullSimplex],
     tol: Fraction,
+    u: Sequence[Fraction],
 ) -> None:
-    q_mix = mixture(q_weights, q_set)
-    for x in range(p.space.size):
-        lhs = (1 - tol) * q_mix.weights[x]
-        if residual is not None:
-            lhs += tol * residual.weights[x]
-        if lhs != p.weights[x]:
+    """Check ``p = (1 - tol) Q_m + tol R`` for the solved weights *u*
+    (the Q-family weights, then the residual's: R's point masses times
+    tol for ``FULL_SIMPLEX``, else R-family weights) in integers, before
+    any vector is built from them.  The weights must be nonnegative, the
+    Q weights must sum to one and the residual's to tol or one, and the
+    two sides must agree at every point."""
+    nq = q_set.size
+    full = isinstance(r_set, FullSimplex)
+    ints, den = _int_row(u)
+    if min(ints) < 0:
+        raise InternalCheckError("decomposition has a negative weight")
+    mass = tol if full else _ONE
+    if (sum(ints[:nq]) != den
+            or sum(ints[nq:]) * mass.denominator != mass.numerator * den):
+        raise InternalCheckError("decomposition weights miss their totals")
+    # Both sides times b * den * g_den, for tol = a / b and every
+    # member's point masses over g_den.
+    a, b = tol.numerator, tol.denominator
+    members = q_set.members if full else q_set.members + r_set.members
+    cols, g_den = _int_columns([m.weights for m in members])
+    q_side = _combine(cols[:nq], ints[:nq])
+    if full:
+        r_side = [b * g_den * v for v in ints[nq:]]
+    else:
+        r_side = [a * v for v in _combine(cols[nq:], ints[nq:])]
+    scale = b * den * g_den
+    for qs, rs, px in zip(q_side, r_side, p._ints):
+        if ((b - a) * qs + rs) * p._den != px * scale:
             raise InternalCheckError("decomposition fails coordinatewise")
-    if residual is None and tol != 0:
-        raise InternalCheckError("missing residual at positive level")

@@ -32,7 +32,7 @@ from math import lcm
 from operator import ge, sub
 from typing import Optional
 
-from .duality import _l1_fit, _unit_shift
+from .duality import _combine, _int_columns, _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
 from .measures import (
     CredalSet,
@@ -47,6 +47,7 @@ from .simplex import (
     LESS_EQUAL,
     OPTIMAL,
     LinearProgram,
+    _int_row,
     solve_lp,
 )
 
@@ -168,23 +169,27 @@ def _genest_fit(
         raise InternalCheckError(f"pooling program came back {sol.status}")
     lam = sol.primal
     eps = _ONE - sol.objective_value
-    covered = [
-        sum((lam[j] * inst.opinions.members[j].weights[x] for j in range(nq)), _ZERO)
-        for x in range(n)
+    # eps R = P - sum_j lam_j Q_j, as integers r over d, checked for
+    # sign and mass before R is built.
+    cols, q_den = _int_columns([q.weights for q in inst.opinions.members])
+    l_ints, l_den = _int_row(lam)
+    p_den = inst.planner._den
+    d = lcm(p_den, l_den * q_den)
+    r = [
+        a * (d // p_den) - c * (d // (l_den * q_den))
+        for a, c in zip(inst.planner._ints, _combine(cols, l_ints))
     ]
-    if eps == 0:
-        residual = None
-    else:
+    if min(r) < 0:
+        raise InternalCheckError("residual has a negative entry")
+    if sum(r) * eps.denominator != eps.numerator * d:
+        raise InternalCheckError("residual mass disagrees with the level")
+    residual = None
+    if eps:
+        scale = d * eps.numerator
         residual = ProbVector(
             space=inst.space,
-            weights=tuple(
-                (inst.planner.weights[x] - covered[x]) / eps for x in range(n)
-            ),
+            weights=tuple(Fraction(v * eps.denominator, scale) for v in r),
         )
-    for x in range(n):
-        rhs = covered[x] + (eps * residual.weights[x] if residual else _ZERO)
-        if rhs != inst.planner.weights[x]:
-            raise InternalCheckError("residual decomposition fails")
     report = PoolingReport(
         kind="genest",
         epsilon_min=eps,

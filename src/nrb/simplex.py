@@ -489,38 +489,45 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # Duals: y = c_B B^{-1}; reading the final tableau at each row's
     # initial identity column gives B^{-1}, and every such column has
     # phase-2 cost zero, so y_k = -objrow[ident_col[k]] for a minimum.
+    # The same row holds the reduced costs of the standard columns.  A
+    # variable's is the entry at its first column, signed by the sense
+    # and the column's sign.  A two-sided variable's entry also carries
+    # the dual of its internal bound row, taken back out by subtracting
+    # the entry at that row's identity column.
     obj, oden = rows[m], dens[m]
     sense = -1 if minimize else 1
     dual = tuple(
         Fraction(sense * sign * obj[ic], oden) if obj[ic] else zero
         for sign, ic in zip(row_signs, ident_col)
     )
-    s, _, d = _weighted_rows(lp, dual)
+    bound_ic = {
+        col: ic
+        for (col, _), ic in zip(bound_rows, ident_col[len(lp._int_rows):])
+    }
+    reduced = []
+    for pl in places:
+        col, sign = pl[0]
+        r = obj[col] - obj[bound_ic[col]] if col in bound_ic else obj[col]
+        reduced.append(Fraction(-sense * sign * r, oden) if r else zero)
     solution = LpSolution(
         status=OPTIMAL,
         objective_value=sum((c * x for c, x in zip(lp.objective, primal) if x), zero),
         primal=primal,
         dual=dual,
-        reduced_costs=tuple(
-            Fraction(r, c_den * d) if (r := c * d - v * c_den) else zero
-            for c, v in zip(c_ints, s)
-        ),
+        reduced_costs=tuple(reduced),
     )
     verify_optimal(lp, solution)
     return solution
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise InternalCheckError(message)
 
 
 def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     """Exact optimality audit; raises :class:`InternalCheckError` if any
     of primal feasibility, dual feasibility, complementary slackness, or
     primal/dual objective equality fails.  The substitutions run in
-    integers over the program's integer rows."""
-    _check(sol.status == OPTIMAL, "not an optimal solution")
+    integers over the program's integer rows, and the reduced costs are
+    recomputed here as ``c - A^T y`` from the duals."""
+    if sol.status != OPTIMAL:
+        raise InternalCheckError("not an optimal solution")
     assert sol.primal is not None and sol.dual is not None
     assert sol.reduced_costs is not None and sol.objective_value is not None
     x = sol.primal
@@ -537,23 +544,26 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
 
     for j in range(n):
         lo, up = lp.lower[j], lp.upper[j]
-        _check(lo is None or above(j, lo) >= 0, f"variable {j} below lower bound")
-        _check(up is None or above(j, up) <= 0, f"variable {j} above upper bound")
+        if lo is not None and above(j, lo) < 0:
+            raise InternalCheckError(f"variable {j} below lower bound")
+        if up is not None and above(j, up) > 0:
+            raise InternalCheckError(f"variable {j} above upper bound")
     for i, (pairs, rel, b, _) in enumerate(lp._int_rows):
         lhs = sum(a * x_ints[j] for j, a in pairs)
         rhs = b * x_den
         y_i = y[i].numerator if minimize else -y[i].numerator
         if rel == LESS_EQUAL:
-            _check(lhs <= rhs, f"constraint {i} violated")
-            ok = y_i <= 0
+            ok, sign_ok = lhs <= rhs, y_i <= 0
         elif rel == GREATER_EQUAL:
-            _check(lhs >= rhs, f"constraint {i} violated")
-            ok = y_i >= 0
+            ok, sign_ok = lhs >= rhs, y_i >= 0
         else:
-            _check(lhs == rhs, f"constraint {i} violated")
-            ok = True
-        _check(ok, f"dual multiplier {i} has the wrong sign")
-        _check(y_i == 0 or lhs == rhs, f"complementary slackness fails at row {i}")
+            ok, sign_ok = lhs == rhs, True
+        if not ok:
+            raise InternalCheckError(f"constraint {i} violated")
+        if not sign_ok:
+            raise InternalCheckError(f"dual multiplier {i} has the wrong sign")
+        if y_i and lhs != rhs:
+            raise InternalCheckError(f"complementary slackness fails at row {i}")
 
     # c_j - s_j / d is r_j / (c_den * d).  Each r_j x_j is r_j times the
     # bound it pins x_j to, or zero.
@@ -563,24 +573,24 @@ def verify_optimal(lp: LinearProgram, sol: LpSolution) -> None:
     for j in range(n):
         r = sol.reduced_costs[j]
         r_j = c_ints[j] * d - s[j] * c_den
-        _check(r.numerator * c_den * d == r_j * r.denominator,
-               f"reduced cost {j} inconsistent with duals")
+        if r.numerator * c_den * d != r_j * r.denominator:
+            raise InternalCheckError(f"reduced cost {j} inconsistent with duals")
         lo, up = lp.lower[j], lp.upper[j]
         r_sign = r.numerator if minimize else -r.numerator
-        if r_sign > 0:
-            _check(lo is not None and above(j, lo) == 0,
-                   f"variable {j}: reduced cost pins it to an absent lower bound")
-        elif r_sign < 0:
-            _check(up is not None and above(j, up) == 0,
-                   f"variable {j}: reduced cost pins it to an absent upper bound")
+        if r_sign > 0 and (lo is None or above(j, lo)):
+            raise InternalCheckError(
+                f"variable {j}: reduced cost pins it to an absent lower bound"
+            )
+        if r_sign < 0 and (up is None or above(j, up)):
+            raise InternalCheckError(
+                f"variable {j}: reduced cost pins it to an absent upper bound"
+            )
         bound_term += r_j * x_ints[j]
 
     value = sol.objective_value
-    _check(
-        value.numerator * c_den * d * x_den
-        == (t * c_den * x_den + bound_term) * value.denominator,
-        "primal and dual objective values differ",
-    )
+    if (value.numerator * c_den * d * x_den
+            != (t * c_den * x_den + bound_term) * value.denominator):
+        raise InternalCheckError("primal and dual objective values differ")
 
 
 def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
@@ -593,21 +603,27 @@ def verify_infeasibility(lp: LinearProgram, farkas: Sequence[Fraction]) -> None:
     are taken over the common denominator of the weighted integer rows.
     """
     y = list(farkas)
-    _check(len(y) == len(lp._int_rows), "certificate length mismatch")
+    if len(y) != len(lp._int_rows):
+        raise InternalCheckError("certificate length mismatch")
     for i, (_, rel, _, _) in enumerate(lp._int_rows):
-        if rel == LESS_EQUAL:
-            _check(y[i] <= 0, f"certificate sign at <= row {i}")
-        elif rel == GREATER_EQUAL:
-            _check(y[i] >= 0, f"certificate sign at >= row {i}")
+        if rel == LESS_EQUAL and y[i] > 0:
+            raise InternalCheckError(f"certificate sign at <= row {i}")
+        if rel == GREATER_EQUAL and y[i] < 0:
+            raise InternalCheckError(f"certificate sign at >= row {i}")
     s, t, _ = _weighted_rows(lp, y)
     box_max = Fraction(0)
     for j, v in enumerate(s):
         if v > 0:
-            _check(lp.upper[j] is not None,
-                   f"certificate needs an upper bound on variable {j}")
+            if lp.upper[j] is None:
+                raise InternalCheckError(
+                    f"certificate needs an upper bound on variable {j}"
+                )
             box_max += v * lp.upper[j]
         elif v < 0:
-            _check(lp.lower[j] is not None,
-                   f"certificate needs a lower bound on variable {j}")
+            if lp.lower[j] is None:
+                raise InternalCheckError(
+                    f"certificate needs a lower bound on variable {j}"
+                )
             box_max += v * lp.lower[j]
-    _check(box_max < t, "certificate does not separate")
+    if not box_max < t:
+        raise InternalCheckError("certificate does not separate")

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -747,6 +748,39 @@ def test_envelope_audit_catches_a_corrupted_table(
         )
         assert code == EXIT_INTERNAL == 4
         assert "re-verification" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pool", "min-eps", "--genest"],
+        ["pool", "check", "--condition", "cstar", "--eps", "1/3"],
+    ],
+)
+def test_genest_residual_fault_exits_4(capsys, monkeypatch, pool_path, argv):
+    """A corrupted Genest solve (first opinion weight + 1/3) leaves a
+    negative residual entry: an internal fault (exit 4), not bad input."""
+    import nrb.pooling
+
+    solve = nrb.pooling.solve_lp
+
+    def corrupted(lp):
+        sol = solve(lp)
+        primal = (sol.primal[0] + F(1, 3),) + sol.primal[1:]
+        return dataclasses.replace(sol, primal=primal)
+
+    monkeypatch.setattr(nrb.pooling, "solve_lp", corrupted)
+    code, report = _capture_json(capsys, argv + [pool_path])
+    assert code == EXIT_INTERNAL == 4
+    assert report["error"] == "residual has a negative entry"
+
+
+def test_non_json_instance_exits_2(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"kind": "credal",')
+    code, report = _capture_json(capsys, ["distance", str(path)])
+    assert code == 2
+    assert report["error"].startswith(f"{path} is not valid JSON: ")
 
 
 def test_stdin_instance(capsys, monkeypatch):

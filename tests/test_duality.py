@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -215,6 +216,51 @@ class TestContamination:
             nielsen.planner, nielsen.opinions, helpful, F(1, 3)
         )
         assert isinstance(ok, ContaminationDecomposition)
+
+    @pytest.mark.parametrize(
+        "index, shift, message",
+        [
+            (0, F(1, 3), "decomposition weights miss their totals"),
+            (0, F(-1), "decomposition has a negative weight"),
+            (2, F(1, 9), "decomposition weights miss their totals"),
+        ],
+    )
+    @pytest.mark.parametrize("helpful", [False, True])
+    def test_corrupted_solves_are_internal_checks(
+        self, monkeypatch, nielsen, three_space, helpful, index, shift, message
+    ):
+        """A corrupted decomposition fails the integer check before a
+        mixture or a residual is built from it: an opinion weight (index
+        0) or the first residual weight (index 2) is shifted."""
+        r_set = CredalSet((_dirac(three_space, 2),)) if helpful else FULL_SIMPLEX
+
+        def corrupted(lp):
+            sol = solve_lp(lp)
+            primal = list(sol.primal)
+            primal[index] += shift
+            return dataclasses.replace(sol, primal=tuple(primal))
+
+        monkeypatch.setattr(duality, "solve_lp", corrupted)
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            contamination_feasible(nielsen.planner, nielsen.opinions, r_set, F(1, 3))
+
+    def test_moved_residual_mass_fails_coordinatewise(self, monkeypatch, nielsen):
+        """Residual mass moved between points keeps every total."""
+
+        def corrupted(lp):
+            sol = solve_lp(lp)
+            primal = list(sol.primal)
+            primal[2] += F(1, 9)
+            primal[4] -= F(1, 9)
+            return dataclasses.replace(sol, primal=tuple(primal))
+
+        monkeypatch.setattr(duality, "solve_lp", corrupted)
+        with pytest.raises(
+            InternalCheckError, match="^decomposition fails coordinatewise$"
+        ):
+            contamination_feasible(
+                nielsen.planner, nielsen.opinions, FULL_SIMPLEX, F(1, 3)
+            )
 
     def test_level_outside_unit_interval_rejected(self, nielsen):
         with pytest.raises(InputError):

@@ -94,6 +94,37 @@ class TestPointSpace:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "metric, message",
+        [
+            (((0, 1), (1, 0), (1, 1)),
+             "metric must be a square matrix over the points"),
+            (((0, 1), (1,)), "metric must be a square matrix over the points"),
+            (((0, 1), (1, 1)), "metric diagonal must be zero"),
+            (((0, 0), (0, 0)), "metric must be positive off the diagonal"),
+            (((0, -1), (-1, 0)), "metric must be positive off the diagonal"),
+        ],
+    )
+    def test_malformed_metrics_rejected_with_their_message(self, metric, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            PointSpace(labels=("a", "b"), metric=metric)
+
+    @pytest.mark.parametrize("metric", [[0, 1], [[0, 1], "1 0"], "0 1; 1 0"])
+    def test_metric_json_must_be_an_array_of_arrays(self, metric):
+        with pytest.raises(
+            InputError, match="^metric must be an array of arrays or null$"
+        ):
+            point_space_from_json({"labels": ["a", "b"], "metric": metric})
+
+    def test_unknown_label_rejected(self):
+        sp = PointSpace(
+            labels=("a", "b"), metric=((F(0), F(3)), (F(3), F(0)))
+        )
+        with pytest.raises(InputError, match="^unknown point 'c'$"):
+            sp.distance("a", "c")
+        with pytest.raises(InputError, match="^unknown point 'c'$"):
+            ProbVector(sp, (F(1), F(0))).weight("c")
+
     def test_distance_lookup(self):
         sp = PointSpace(
             labels=("a", "b"), metric=((F(0), F(3)), (F(3), F(0)))

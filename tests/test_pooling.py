@@ -1,5 +1,6 @@
 """Opinion pooling levels and the unanimity conditions they certify."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -33,6 +34,8 @@ from nrb import (
     pool_min_eps_genest,
     pool_min_eps_normalized,
 )
+from nrb import pooling
+from nrb.simplex import solve_lp
 from tests.conftest import lattice_vectors, random_pooling, random_prob_vector
 
 
@@ -71,6 +74,41 @@ def test_genest_level(nielsen):
             for w, q in zip(report.weights, nielsen.opinions.members)
         ) + report.epsilon_min * report.residual.weights[x]
         assert lhs == rhs
+
+
+def _corrupted_solve(weight=F(0), value=F(0)):
+    """``solve_lp`` with ``weight`` added to the first primal entry and
+    ``value`` to the objective value of its solution."""
+    def solve(lp):
+        sol = solve_lp(lp)
+        return dataclasses.replace(
+            sol,
+            primal=(sol.primal[0] + weight,) + sol.primal[1:],
+            objective_value=sol.objective_value + value,
+        )
+    return solve
+
+
+@pytest.mark.parametrize(
+    "weight, value, message",
+    [
+        (F(1, 3), F(0), "residual has a negative entry"),
+        (F(0), F(-1, 6), "residual mass disagrees with the level"),
+    ],
+)
+@pytest.mark.parametrize("decide", ["level", "cstar"])
+def test_genest_residual_faults_are_internal_checks(
+    monkeypatch, nielsen, decide, weight, value, message
+):
+    """A corrupted Genest solve is caught by the residual's own sign and
+    mass checks, as an internal fault, before any probability vector is
+    built from it."""
+    monkeypatch.setattr(pooling, "solve_lp", _corrupted_solve(weight, value))
+    with pytest.raises(InternalCheckError, match=f"^{message}$"):
+        if decide == "level":
+            pool_min_eps_genest(nielsen)
+        else:
+            check_condition_Cstar(nielsen, F(1, 2))
 
 
 def test_genest_level_against_weight_grid(nielsen):

@@ -38,7 +38,6 @@ from nrb import (
     rum_residual_min_eps,
 )
 from nrb import duality, rum
-from nrb.duality import _dot
 from nrb.errors import InternalCheckError
 from nrb.simplex import EQUAL, LinearProgram, LpSolution, _int_row, solve_lp
 from tests.conftest import random_rationalizable_rum, random_rum
@@ -253,6 +252,11 @@ def test_check_monotone_in_eps(skewed_triples):
 
 # ---------------------------------------------------------------------------
 # rationalizable instances and the matrix itself
+
+
+def test_instance_needs_an_alternative():
+    with pytest.raises(InputError, match="^need at least one alternative$"):
+        RumInstance(alternatives=(), choice={})
 
 
 def test_mixture_round_trip():
@@ -892,6 +896,11 @@ def _bm_polynomials_reference(inst):
         (y, menu): F(k[y][mask], den)
         for (y, menu), mask in zip(pairs, masks)
     }
+
+
+def _dot(ints, values):
+    """``ints . values`` in ``Fraction`` arithmetic."""
+    return sum((a * v for a, v in zip(ints, values)), F(0))
 
 
 def _evaluate_reference(inst, matrix, tags, eps, star):

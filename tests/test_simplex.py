@@ -1,5 +1,6 @@
 import contextlib
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
@@ -163,6 +164,23 @@ def test_unknown_relation_rejected():
             sense="min",
             constraints=(((F(1),), "<", F(1)),),
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(sense="maximize"), "unknown sense 'maximize'"),
+        (dict(constraints=(((F(1), F(1)), LESS_EQUAL),)),
+         "constraint 0 is not a triple"),
+        (dict(constraints=(F(1),)), "constraint 0 is not a triple"),
+        (dict(lower=(F(0),)), "bound vectors must match the variable count"),
+        (dict(upper=(F(1), None, F(2))),
+         "bound vectors must match the variable count"),
+    ],
+)
+def test_malformed_programs_rejected_with_their_message(kwargs, message):
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        LinearProgram(objective=(F(1), F(1)), **kwargs)
 
 
 def test_floats_rejected_in_programs():
@@ -563,6 +581,42 @@ def test_each_corruption_is_caught_with_the_reference_message():
             assert want is not None
             assert _audit_message(verify_infeasibility, infeasible,
                                   farkas) == want
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_reduced_cost_audit_compares_the_tableau_with_the_duals(monkeypatch, j):
+    """The reduced costs are read off the final objective row and the
+    audit recomputes them from the duals, so a corrupted structural entry
+    of that row (variable 0 two-sided, variable 1 bounded below) is
+    caught there, while the duals, read at the identity columns, are
+    unchanged."""
+    lp = LinearProgram(
+        objective=(F(2), F(3)),
+        sense="max",
+        constraints=(
+            ((F(1), F(2)), LESS_EQUAL, F(4)),
+            ((F(1), F(-1)), GREATER_EQUAL, F(-3)),
+            ((F(1, 2), F(1, 3)), EQUAL, F(3, 2)),
+        ),
+        lower=(F(0), F(0)),
+        upper=(F(5), None),
+    )
+    run = simplex._run_simplex
+    phases = []
+
+    def corrupted_run(rows, dens, basis, eligible):
+        status = run(rows, dens, basis, eligible)
+        phases.append(status)
+        if len(phases) == 2:  # phase 2: shift reduced cost j by one
+            rows[-1][j] += dens[-1]
+        return status
+
+    monkeypatch.setattr(simplex, "_run_simplex", corrupted_run)
+    with pytest.raises(
+        InternalCheckError, match=rf"^reduced cost {j} inconsistent with duals$"
+    ):
+        solve_lp(lp)
+    assert phases == [OPTIMAL, OPTIMAL]
 
 
 # The row elimination as it was when every scaled row was put back in
