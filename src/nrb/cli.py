@@ -67,6 +67,7 @@ from .rum import (
     _arsp_check,
     _arsp_star_check,
     _layout,
+    _Table,
     build_matrix,
     evaluate_arsp,
     evaluate_arsp_star,
@@ -157,11 +158,17 @@ def _parse_rum(doc: dict) -> RumInstance:
     alts, n = tuple(alts), len(alts)
     # The layout is read only for a table with as many keys as it has
     # pairs, so a short document over many alternatives never builds one.
-    # When every key is spelled as the layout spells it, the keys are
-    # every pair once, and the table is keyed by the layout's own pairs;
-    # otherwise a canonical key is one lookup and any other key is split,
-    # with the same checks in the same order.
-    pair_of = _layout(alts).pair_of if len(raw) == n << n >> 1 else {}
+    # When the keys are the layout's own keys in pairs() order, the raw
+    # values go over by position.  When every key is spelled as the
+    # layout spells it, the keys are every pair once, and the table is
+    # keyed by the layout's own pairs; otherwise a canonical key is one
+    # lookup and any other key is split, with the same checks in the
+    # same order.
+    layout = _layout(alts) if len(raw) == n << n >> 1 else None
+    pair_of = layout.pair_of if layout is not None else {}
+    if pair_of and tuple(raw) == layout.keys:
+        table = _Table(layout, tuple(raw.values()))
+        return RumInstance(alternatives=alts, choice=table)
     pairs = list(map(pair_of.get, raw))
     if pair_of and None not in pairs:
         table = dict(zip(pairs, raw.values()))

@@ -31,23 +31,28 @@ menus with their bitmasks, the pairs in ``pairs()`` order and each pair's
 mask and position, one subcube order of the pairs and the menu lattice's
 edges) is built once per tuple and shared, read only, by every table over
 it (``_layout``, a small cache keyed by the tuple, never by table
-content).  ``RumInstance`` validates a table in one pass.  A table whose
-keys are the layout's pairs in ``pairs()`` order, as the CLI hands over
-a document keyed canonically and in order, is read by position: one
-tuple comparison decides it, and each value lands at its index.  Any
-other table is read key by key: a canonical key is one lookup in the
-layout, and a respelled menu is checked and canonicalised once per call.
-Either way each distinct probability string is parsed once.  It keeps
-the checked table, outside the dataclass fields (so ``==``, ``hash``,
-``repr`` and ``choice`` are as before), as one integer per pair over one
-common denominator ``_den``: ``_nums[i]`` is the numerator of
-``pairs()[i]``, and ``_masks``, the layout's, maps each pair to its
-menu's bitmask (bit i for ``alternatives[i]``).  A menu's pairs are
-contiguous, so its sum is the sum of its span.  The Block-Marschak sums,
-the tag scores' best-ordering DP and ``instance_from_mixture`` gather the
-pairs into the layout's alternative-major subcube order, where one subset
-transform over a flat list serves every alternative at once; the DP and
-the mixture find their places along the lattice's edges.
+content).  ``RumInstance`` validates a table in one pass.  A table keyed
+by the layout's pairs in ``pairs()`` order is read by position: a
+``_Table`` view over the layout in that order (as the CLI hands over a
+document keyed canonically and in order) with no key read at all, a dict
+after one tuple comparison.  Any other table is read key by key: a
+canonical key is one lookup in the layout, and a respelled menu is
+checked and canonicalised once per call.  Either way each distinct
+probability string is parsed once.  The checked table is kept once, by
+position: ``_probs[i]`` is the probability of ``pairs()[i]``, and
+``choice`` is a read-only ``_Table`` view over the layout's pairs and
+that tuple, which iterates in the caller's key order and compares,
+prints and pickles as the dict it replaced (so ``==``, ``hash`` and
+``repr`` are as before).  Outside the dataclass fields the instance also
+keeps one integer per pair over one common denominator ``_den``:
+``_nums[i]`` is the numerator of ``pairs()[i]``, and ``_masks``, the
+layout's, maps each pair to its menu's bitmask (bit i for
+``alternatives[i]``).  A menu's pairs are contiguous, so its sum is the
+sum of its span.  The Block-Marschak sums, the tag scores' best-ordering
+DP and ``instance_from_mixture`` gather the pairs into the layout's
+alternative-major subcube order, where one subset transform over a flat
+list serves every alternative at once; the DP and the mixture find their
+places along the lattice's edges.
 
 ``build_matrix`` returns the pairs and the orderings, both the layout's;
 the matrix's n!-wide rows are built on first read.  Scoring a tag vector
@@ -66,10 +71,11 @@ import itertools
 import math
 import operator
 import os
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .duality import _l1_fit, _unit_shift
 from .errors import CapExceededError, InputError, InternalCheckError
@@ -256,6 +262,46 @@ def _layout(alternatives: tuple[str, ...]) -> _Layout:
     )
 
 
+class _Table(Mapping):
+    """A read-only view of a table over a layout's pairs: ``values[i]`` is
+    the value of ``pairs[i]``, and the keys run in ``pairs()`` order or,
+    given *order*, at those positions in turn.  It compares, prints and
+    pickles as the dict of its items, and like a dict it is unhashable."""
+
+    __slots__ = ("_layout", "_values", "_order")
+
+    def __init__(
+        self,
+        layout: _Layout,
+        values: tuple,
+        order: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        self._layout, self._values, self._order = layout, values, order
+
+    def __getitem__(self, key):
+        return self._values[self._layout.index[key]]
+
+    def __iter__(self):
+        pairs = self._layout.pairs
+        if self._order is None:
+            return iter(pairs)
+        return map(pairs.__getitem__, self._order)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __eq__(self, other):
+        if type(other) is _Table and other._layout is self._layout:
+            return self._values == other._values
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class RumInstance:
     """A stochastic choice function on the full menu domain.
@@ -266,15 +312,18 @@ class RumInstance:
     a complete table: every pair present, nothing extra, menu rows
     summing to one.  When the keys, in order, are the pairs of the shared
     menu layout of the alternatives (``pairs()``), it reads the values by
-    position, since such keys can fail no check; otherwise it makes one
-    pass over the keys, looking each up in the layout.  It then sums each
-    menu's span of integers.  Either way the first check a table fails
-    names the problem, with the same message.
+    position, since such keys can fail no check: a ``_Table`` over that
+    layout in that order with no key read, a dict after one tuple
+    comparison.  Otherwise it makes one pass over the keys, looking each
+    up in the layout.  It then sums each menu's span of integers.  Either
+    way the first check a table fails names the problem, with the same
+    message.
     A short table over more alternatives than ``max_alternatives()`` is
     refused first (``CapExceededError``), before its layout is built.
-    It keeps the checked table as integers, outside the fields (see the
-    module docstring), and pickles by its fields, rebuilt through the
-    constructor."""
+    It keeps the checked values once, as ``_probs`` in ``pairs()`` order,
+    with ``choice`` a read-only view over them in the caller's key order,
+    and as integers (see the module docstring).  It pickles by its
+    fields, ``choice`` as a dict, rebuilt through the constructor."""
 
     alternatives: tuple[str, ...]
     choice: Mapping[tuple[str, tuple[str, ...]], Fraction]
@@ -286,7 +335,9 @@ class RumInstance:
         if len(set(alts)) != len(alts):
             raise InputError("alternatives must be distinct")
         object.__setattr__(self, "alternatives", alts)
-        entries = dict(self.choice)
+        entries = self.choice
+        if type(entries) is not _Table:
+            entries = dict(entries)
         domain = len(alts) << len(alts) >> 1
         if len(entries) < domain and len(alts) > max_alternatives():
             raise CapExceededError(
@@ -314,16 +365,26 @@ class RumInstance:
                     parsed[value] = k
             return k
 
-        if tuple(entries) == pairs:
+        order = None
+        if (
+            type(entries) is _Table
+            and entries._layout is layout
+            and entries._order is None
+        ):
+            raw = entries._values
+        elif tuple(entries) == pairs:
+            raw = entries.values()
+        else:
+            raw = None
+        if raw is not None:
             # The keys are the layout's pairs in order, so each is distinct,
             # canonical and present: only the values and the sums can fail.
             flat = []
-            for key, value in entries.items():
+            for key, value in zip(pairs, raw):
                 k = parsed.get(value) if type(value) is str else None
                 flat.append(read(key, value) if k is None else k)
-            table = dict(zip(pairs, map(values.__getitem__, flat)))
         else:
-            table, flat = _read_keys(layout, entries, values, read)
+            flat, order = _read_keys(layout, entries, values, read)
         # The keys are now distinct canonical pairs.  Each takes its integer
         # over the common denominator (0 where absent), in pairs() order,
         # so every menu's sum is the sum of its span.  Only a table with a
@@ -333,7 +394,8 @@ class RumInstance:
         ints.append(0)  # for the index -1
         nums = tuple(map(ints.__getitem__, flat))
         totals = [sum(nums[s.start:s.stop]) for _, _, s in layout.menus]
-        if len(table) != len(pairs) or totals.count(den) != len(totals):
+        complete = order is None or len(order) == len(pairs)
+        if not complete or totals.count(den) != len(totals):
             missing = []
             for (menu, _, span), total in zip(layout.menus, totals):
                 missing += [pairs[i] for i in span if flat[i] < 0]
@@ -343,15 +405,19 @@ class RumInstance:
                         f"{_quote(Fraction(total, den))}"
                     )
             raise InputError(f"missing choice entries: {missing}")
-        object.__setattr__(self, "choice", table)
+        if order is not None:  # the caller's key order, unless canonical
+            order = None if order == sorted(order) else tuple(order)
+        probs = tuple(map(values.__getitem__, flat))
+        object.__setattr__(self, "choice", _Table(layout, probs, order))
         object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_probs", probs)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_masks", layout.masks)
 
     def __reduce__(self):
         # rebuilt through the constructor: the shared layout is not pickled
-        return type(self), (self.alternatives, self.choice)
+        return type(self), (self.alternatives, dict(self.choice))
 
     @property
     def n_alternatives(self) -> int:
@@ -371,21 +437,22 @@ class RumInstance:
 
 def _read_keys(
     layout: _Layout,
-    entries: dict,
+    entries: Mapping,
     values: list[Fraction],
     read: Callable[[object, object], int],
-) -> tuple[dict[_Pair, Fraction], list[int]]:
-    """The checked table and ``flat`` (each pair's index in *values*, -1 if
-    absent) of a table not keyed by the layout's pairs in order.  Each key
-    is looked up in the layout, or checked and canonicalised, in key
-    order, and its value is found by *read*, its index in *values*."""
+) -> tuple[list[int], list[int]]:
+    """``flat``, each pair's index in *values* (-1 if absent), and the
+    positions of the keys in key order, for a table not keyed by the
+    layout's pairs in order.  Each key is looked up in the layout, or
+    checked and canonicalised, in key order, and its value is found by
+    *read*, its index in *values*."""
     bit, pairs, position = layout.bit, layout.pairs, layout.index.get
     # a menu spelled other than canonically -> its canonical menu, once
     # it has passed the unknown-alternative and repetition checks; kept
     # per call, never in the shared layout
     respelled: dict[tuple, tuple[str, ...]] = {}
-    table: dict[_Pair, Fraction] = {}
     flat = [-1] * len(pairs)
+    order = []
     for key, value in entries.items():
         i = position(key)  # the keys are hashable: they were dict keys
         if i is None:
@@ -416,9 +483,9 @@ def _read_keys(
         k = read(key, value)
         if flat[i] >= 0:
             raise InputError(f"duplicate entry for {pairs[i]!r}")
-        table[pairs[i]] = values[k]
         flat[i] = k
-    return table, flat
+        order.append(i)
+    return flat, order
 
 
 @dataclass(frozen=True)
@@ -583,7 +650,7 @@ def instance_from_mixture(
     _subset_sums(won, 1 << len(alts) >> 1)
     won.reverse()
     masses = map(won.__getitem__, layout.cube_index)
-    table = {pair: Fraction(v, d) for pair, v in zip(layout.pairs, masses)}
+    table = _Table(layout, tuple(Fraction(v, d) for v in masses))
     return RumInstance(alternatives=alts, choice=table)
 
 
@@ -596,7 +663,7 @@ def _min_eps_with_stakes(
     matrix = build_matrix(inst)
     columns = list(zip(*matrix.rows))
     eps, weights, error, stakes = _l1_fit(
-        [inst.choice[pair] for pair in matrix.pairs], columns,
+        inst._probs, columns,
         (range(len(columns)),),
     )
     pi = {o: w for o, w in zip(matrix.orderings, weights) if w}
@@ -736,7 +803,7 @@ def _residual_fit(
     minimize eps.  Returns the report, the matrix and the optimal duals y
     of the pair rows."""
     matrix = build_matrix(inst)
-    p0 = [inst.choice[pair] for pair in matrix.pairs]
+    p0 = inst._probs
     m = len(matrix.pairs)
     n_ord = len(matrix.orderings)
     nvars = n_ord + m + 1

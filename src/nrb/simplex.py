@@ -96,8 +96,9 @@ class LinearProgram:
     triples with relation one of ``"<="``, ``"="``, ``">="``.  The
     coefficients are either a dense sequence of one value per variable
     or a ``{column: value}`` mapping whose absent columns are zero.
-    Plain ``int`` values are taken as they are; any other value goes
-    through ``parse_rational``.  Both forms become the same integer rows
+    ``Fraction`` values, and plain ``int`` coefficients and right-hand
+    sides, are taken as they are; any other value goes through
+    ``parse_rational``.  Both forms become the same integer rows
     ``_int_rows``, which the solver and the audits read, and which
     equality and hashing compare.  ``constraints`` reads the rows back
     as dense ``Fraction`` triples, built on first read.  Bounds are
@@ -119,7 +120,9 @@ class LinearProgram:
         lower: Sequence[object] = (),
         upper: Sequence[object] = (),
     ) -> None:
-        obj = tuple(map(parse_rational, objective))
+        obj = tuple(
+            v if type(v) is Fraction else parse_rational(v) for v in objective
+        )
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "sense", sense)
         n = len(obj)
@@ -141,7 +144,7 @@ class LinearProgram:
                         raise InputError(f"column outside 0..{n - 1}")
                     coeffs = map(coeffs.__getitem__, cols)
                 vals = _exact(list(coeffs))
-                rhs = rhs if type(rhs) is int else parse_rational(rhs)
+                rhs = rhs if type(rhs) in _EXACT else parse_rational(rhs)
             except InputError as exc:
                 raise InputError(f"constraint {idx}: {exc}") from None
             if not mapped:
@@ -165,7 +168,10 @@ class LinearProgram:
             int_rows.append((tuple(zip(cols, ints)), rel, b, den))
         object.__setattr__(self, "_int_rows", tuple(int_rows))
         lower, upper = (
-            tuple(None if v is None else parse_rational(v) for v in b or (None,) * n)
+            tuple(
+                v if v is None or type(v) is Fraction else parse_rational(v)
+                for v in b or (None,) * n
+            )
             for b in (lower, upper)
         )
         if len(lower) != n or len(upper) != n:

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -26,9 +27,9 @@ from nrb import (
     enumerate_menus,
     instance_from_mixture,
 )
-from nrb import cli
+from nrb import cli, rum
 from nrb.cli import EXIT_INTERNAL, EXIT_VIOLATED, main
-from tests.conftest import _warp_cycle_instance
+from tests.conftest import _warp_cycle_instance, random_rum
 
 NIELSEN_CREDAL = {
     "kind": "credal",
@@ -343,6 +344,33 @@ def test_rum_keys_with_repeated_menus_parse_and_fail_in_key_order():
         with pytest.raises(InputError) as info:
             cli._parse_rum(doc)
         assert str(info.value) == message
+
+
+def test_canonical_documents_reach_the_constructor_by_position(monkeypatch):
+    """A document keyed by the layout's keys in ``pairs()`` order reaches
+    ``RumInstance`` with no key-by-key read; the same document with its
+    keys shuffled is read key by key, to the same instance."""
+    base = random_rum(random.Random(6), 4)
+    alts = base.alternatives
+    keys = rum._layout(alts).keys
+    items = [(key, str(p)) for key, p in zip(keys, base.choice.values())]
+    doc = {"kind": "rum", "alternatives": list(alts), "choice": dict(items)}
+    reader, seen = rum._read_keys, []
+
+    def refuse(*args):
+        raise AssertionError("a canonical document was read key by key")
+
+    monkeypatch.setattr(rum, "_read_keys", refuse)
+    assert cli._parse_rum(doc) == base
+
+    def counted(*args):
+        seen.append(args[0].alternatives)
+        return reader(*args)
+
+    monkeypatch.setattr(rum, "_read_keys", counted)
+    random.Random(1).shuffle(items)
+    doc["choice"] = dict(items)
+    assert cli._parse_rum(doc) == base and seen == [alts]
 
 
 def _split_parse_rum(doc: dict) -> RumInstance:

@@ -1,6 +1,7 @@
 """Random-utility approximation levels and tagged-trial certificates."""
 
 import copy
+import dataclasses
 import itertools
 import operator
 import pickle
@@ -758,6 +759,124 @@ def test_only_tables_in_pairs_order_are_read_by_position(monkeypatch):
     respelled = dict(last[:-1] + [((last[-1][0][0], alts[::-1]), last[-1][1])])
     for other in (dict(last[::-1]), respelled):
         assert RumInstance(alternatives=alts, choice=other) == base
+    assert seen == [alts, alts]
+
+
+def _spellings(base):
+    """The table of *base* as strings keyed in ``pairs()`` order, in the
+    reverse key order, shuffled, and with its last menu respelled."""
+    alts = base.alternatives
+    items = [((y, tuple(menu)), str(p)) for (y, menu), p in base.choice.items()]
+    shuffled = items[:]
+    random.Random(len(items)).shuffle(shuffled)
+    (y, _), value = items[-1]
+    respelled = items[:-1] + [((y, alts[::-1]), value)]
+    return [dict(items), dict(items[::-1]), dict(shuffled), dict(respelled)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_choice_reads_as_the_dict_it_replaced(n):
+    """``choice`` of a canonical, a reordered and a respelled table equals
+    the reference's dict both ways and reads as that dict does: items in
+    the same order, the same repr, ``len``, ``in``, ``get`` and ``dict``.
+    It is read only and, as a dict is, unhashable."""
+    base = random_rum(random.Random(n), n)
+    absent = ("x", ("x",))
+    for table in _spellings(base):
+        inst = RumInstance(alternatives=base.alternatives, choice=table)
+        alts, want = _validate_reference(base.alternatives, table)
+        choice = inst.choice
+        assert choice == want and want == choice
+        assert not choice != want and not want != choice
+        assert list(choice.items()) == list(want.items())
+        assert list(choice) == list(want)
+        assert list(choice.values()) == list(want.values())
+        assert dict(choice) == want and list(dict(choice)) == list(want)
+        assert repr(choice) == repr(want)
+        assert repr(inst) == (
+            f"RumInstance(alternatives={alts!r}, choice={want!r})"
+        )
+        assert len(choice) == len(want)
+        for pair, p in want.items():
+            assert pair in choice and choice.get(pair) == choice[pair] == p
+        assert absent not in choice and choice.get(absent, 7) == 7
+        with pytest.raises(KeyError):
+            choice[absent]
+        other = dict(want)
+        other[pair] += 1
+        assert choice != other and other != choice
+        with pytest.raises(TypeError):
+            hash(choice)
+        with pytest.raises(TypeError):
+            choice[pair] = F(0)
+
+
+def test_copies_keep_the_table_and_its_key_order():
+    """A pickle round trip, ``copy.deepcopy`` and ``dataclasses.replace``
+    of an instance built from each spelling give an equal instance with
+    the same items in the same order; ``choice`` alone pickles and copies
+    as the dict it reads as."""
+    base = random_rum(random.Random(4), 4)
+    for table in _spellings(base):
+        inst = RumInstance(alternatives=base.alternatives, choice=table)
+        for copied in (
+            pickle.loads(pickle.dumps(inst)),
+            copy.deepcopy(inst),
+            dataclasses.replace(inst),
+        ):
+            assert copied == inst and repr(copied) == repr(inst)
+            assert list(copied.choice.items()) == list(inst.choice.items())
+            assert copied._nums == inst._nums and copied._den == inst._den
+        for copied in (pickle.loads(pickle.dumps(inst.choice)),
+                       copy.deepcopy(inst.choice)):
+            assert type(copied) is dict
+            assert list(copied.items()) == list(inst.choice.items())
+
+
+_VIEW_FAULTS = [None, "-1/3", "1/7", "x/y", 0.5, [1]]
+
+
+@pytest.mark.parametrize("fault", _VIEW_FAULTS)
+def test_views_off_the_layout_or_its_order_are_read_key_by_key(
+    monkeypatch, fault
+):
+    """A ``rum._Table`` over the alternatives' layout in ``pairs()`` order
+    is read by position; one in another key order, or over the layout of
+    the alternatives in another list order, is read key by key.  Each
+    validates to the reference's table, or fails with its message when
+    the value of one pair is corrupted."""
+    seen = []
+    reader = rum._read_keys
+
+    def counted(*args):
+        seen.append(args[0].alternatives)
+        return reader(*args)
+
+    monkeypatch.setattr(rum, "_read_keys", counted)
+    base = random_rum(random.Random(5), 3)
+    alts = base.alternatives
+    layout, flipped = rum._layout(alts), rum._layout(alts[::-1])
+    values = [str(p) for p in base.choice.values()]
+    if fault is not None:
+        values[-2] = fault
+    canon = {pair: values[i] for i, pair in enumerate(layout.pairs)}
+    order = tuple(random.Random(2).sample(range(len(values)), len(values)))
+    views = [
+        rum._Table(layout, tuple(values)),
+        rum._Table(layout, tuple(values), order),
+        rum._Table(flipped, tuple(
+            canon[y, layout.by_mask[sum(layout.bit[a] for a in menu)]]
+            for y, menu in flipped.pairs
+        )),
+    ]
+    for view in views:
+
+        def built():
+            inst = RumInstance(alternatives=alts, choice=view)
+            return inst.alternatives, inst.choice
+
+        want = _outcome(lambda: _validate_reference(alts, dict(view)))
+        assert _outcome(built) == want
     assert seen == [alts, alts]
 
 

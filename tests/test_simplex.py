@@ -188,6 +188,44 @@ def test_floats_rejected_in_programs():
         LinearProgram(objective=(0.5,), sense="min", constraints=())
 
 
+def test_fraction_values_are_kept_and_others_parsed_as_before(monkeypatch):
+    """Objective entries, bounds and right-hand sides that are already
+    ``Fraction`` are kept as the same objects, with no parse; an ``int``
+    or a string still becomes a ``Fraction``, and a float or a bool still
+    raises the parser's message."""
+    calls = []
+    parse = simplex.parse_rational
+
+    def counted(value):
+        calls.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(simplex, "parse_rational", counted)
+    half, third = F(1, 2), F(1, 3)
+    lp = LinearProgram(
+        objective=(half, third), constraints=[((1, 1), EQUAL, half)],
+        lower=(half, None), upper=(None, third),
+    )
+    assert calls == []
+    assert lp.objective[0] is half and lp.objective[1] is third
+    assert lp.lower[0] is half and lp.upper == (None, third)
+    lp = LinearProgram(objective=(1, "2/4"), lower=(0, "1/3"), upper=(half, 2))
+    assert calls == [1, "2/4", 0, "1/3", 2]
+    assert lp.objective == (F(1), F(1, 2)) and lp.lower == (F(0), F(1, 3))
+    assert lp.upper == (half, F(2))
+    assert all(type(v) is F for v in lp.objective + lp.lower + lp.upper)
+    for kwargs, message in (
+        ({"objective": (half, 0.5)},
+         "expected int, Fraction, or string, got float"),
+        ({"objective": (half, half), "lower": (half, True)},
+         "expected a rational number, got bool True"),
+        ({"objective": (half, half), "upper": (0.25, None)},
+         "expected int, Fraction, or string, got float"),
+    ):
+        with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+            LinearProgram(**kwargs)
+
+
 def test_deterministic_resolve():
     lp = LinearProgram(
         objective=(F(1), F(2), F(-1)),
