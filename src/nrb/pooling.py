@@ -295,27 +295,17 @@ def _pareto_witness(
     inst: PoolingInstance, stakes: StakesVector, tol: Fraction, star: bool
 ) -> ParetoWitness:
     """The pair f = -stakes, g = the experts' least expected payoff of f
-    as a constant, measured by ``_pareto_terms``."""
+    as a constant, with the premise margins ``E_Q[f] - E_Q[g]``, one per
+    expert, and the amount by which the planner's side fails,
+    ``E_P[g] - tol * penalty(h) - E_P[f]`` for h = f - g, with penalty
+    ``osc(h) / 2`` for condition C and ``osc(h) - max h`` for C*.  Each
+    is computed once, here, and ``ParetoWitness`` checks their signs."""
     f = StakesVector(
         space=inst.space,
         values=tuple(-v for v in stakes.values),
     )
     floor = min(expectation(f, q) for q in inst.opinions.members)
     g = _constant_stakes(inst.space, floor)
-    margins, violation = _pareto_terms(inst, f, g, tol, star)
-    return ParetoWitness(
-        f=f, g=g, premise_margins=margins, violation_amount=violation
-    )
-
-
-def _pareto_terms(
-    inst: PoolingInstance, f: StakesVector, g: StakesVector,
-    tol: Fraction, star: bool,
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The premise margins ``E_Q[f] - E_Q[g]``, one per expert, and the
-    amount by which the planner's side fails,
-    ``E_P[g] - tol * penalty(h) - E_P[f]`` for h = f - g, with penalty
-    ``osc(h) / 2`` for condition C and ``osc(h) - max h`` for C*."""
     margins = tuple(
         expectation(f, q) - expectation(g, q) for q in inst.opinions.members
     )
@@ -325,7 +315,9 @@ def _pareto_terms(
     violation = (
         expectation(g, inst.planner) - tol * penalty
     ) - expectation(f, inst.planner)
-    return margins, violation
+    return ParetoWitness(
+        f=f, g=g, premise_margins=margins, violation_amount=violation
+    )
 
 
 def _event_table(

@@ -104,6 +104,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_Sides = tuple[Fraction, Fraction]  # (lhs, rhs) of a tagged-trials inequality
 
 ENV_MAX_ALTERNATIVES = "NRB_MAX_ALTERNATIVES"
 DEFAULT_ALTERNATIVES_CAP = 7
@@ -706,9 +707,12 @@ def _tag_sides(
     the observed success total ``sum p0_i t_i`` (one integer dot product
     with the instance's numerators) and the best-ordering total.  Tags
     on a matrix whose pairs are not the layout's are first summed onto
-    the layout's positions."""
+    the layout's positions.  A tag not ``int`` or ``Fraction`` (a float,
+    a string, a bool) is refused before any arithmetic."""
     tol = parse_rational(eps)
     t = list(tags)
+    if not {*map(type, t)} <= {int, Fraction}:
+        raise InputError("tags must be int or Fraction")
     if len(t) != len(matrix.pairs):
         raise InputError("tag vector length mismatch")
     layout = inst._layout
@@ -770,21 +774,21 @@ def check_eps_arsp(
 
 def _arsp_check(
     inst: RumInstance, eps: object
-) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
-    """``check_eps_arsp`` with the additive report and the matrix it
-    was decided on.  The certificate is the stakes' ``_tag_vector``,
-    verified to violate strictly by substitution."""
+) -> tuple[Optional[TaggedTrialSequence], RumReport, Optional[_Sides]]:
+    """``check_eps_arsp`` with the additive report it was decided on and,
+    on failure, the sides ``(lhs, rhs)`` on which its certificate, the
+    stakes' ``_tag_vector``, was verified to violate strictly."""
     tol = parse_rational(eps)
     if tol < 0:
         raise InputError("slack must be nonnegative")
     report, matrix, stakes = _min_eps_with_stakes(inst)
     if report.epsilon_min <= tol:
-        return None, report, matrix
+        return None, report, None
     cert = _tag_vector(stakes)
     lhs, rhs = evaluate_arsp(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("tag certificate fails to violate")
-    return cert, report, matrix
+    return cert, report, (lhs, rhs)
 
 
 def rum_residual_min_eps(inst: RumInstance) -> RumReport:
@@ -875,18 +879,19 @@ def check_eps_arsp_star(
 
 def _arsp_star_check(
     inst: RumInstance, eps: object
-) -> tuple[Optional[TaggedTrialSequence], RumReport, ChoiceMatrix]:
-    """``check_eps_arsp_star`` with the residual report and the matrix
-    it was decided on."""
+) -> tuple[Optional[TaggedTrialSequence], RumReport, Optional[_Sides]]:
+    """``check_eps_arsp_star`` with the residual report it was decided on
+    and, when it fails, the sides ``(lhs, rhs)`` of
+    ``evaluate_arsp_star`` that verified the certificate."""
     tol = parse_rational(eps)
     if not (0 <= tol <= 1):
         raise InputError("level must lie in [0, 1]")
     report, matrix, duals = _residual_fit(inst)
     if report.epsilon_min <= tol:
-        return None, report, matrix
+        return None, report, None
     # no lift per menu: duals are <= 0 and residual mass zeroes one per menu
     cert = _tag_vector(duals)
     lhs, rhs = evaluate_arsp_star(inst, matrix, cert.tags, tol)
     if not lhs > rhs:
         raise InternalCheckError("residual tag certificate fails to violate")
-    return cert, report, matrix
+    return cert, report, (lhs, rhs)

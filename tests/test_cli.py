@@ -1051,6 +1051,226 @@ def test_each_command_solves_and_builds_once(
         assert counts == {"solve_lp": solves, "build_matrix": builds}, argv
 
 
+@pytest.mark.parametrize("argv, name, calls", [
+    (["rum", "check", "--eps", "3/2", "warp_path"], "_best_ordering_total", 1),
+    (["rum", "check", "--star", "--eps", "1/2", "warp_path"],
+     "_best_ordering_total", 1),
+    (["pool", "check", "--condition", "c", "--eps", "1/3", "pool_path"],
+     "expectation", 8),
+    (["pool", "check", "--condition", "cstar", "--eps", "1/4", "pool_path"],
+     "expectation", 8),
+    (["gordan", "--eps", "1/2", "credal_path"], "member_gap", 0),
+])
+def test_violated_checks_verify_their_certificates_once(
+    capsys, monkeypatch, request, argv, name, calls
+):
+    """Each violated check verifies its certificate where the library
+    makes it, and the CLI prints what was verified: one best-ordering DP
+    per tag certificate, the 8 expectations that build the Nielsen
+    Pareto witness (one per expert for the floor, two per expert for the
+    margins, two for the planner), and no member gap for a separation,
+    whose gap the L1 fit has already audited."""
+    import nrb.cli, nrb.duality, nrb.measures, nrb.pooling
+
+    home = {"_best_ordering_total": rum, "expectation": nrb.measures,
+            "member_gap": nrb.duality}[name]
+    original, count = getattr(home, name), 0
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    for mod in (nrb.measures, nrb.duality, nrb.pooling, rum, nrb.cli):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    argv = [request.getfixturevalue(a) if a.endswith("_path") else a
+            for a in argv]
+    code, _ = _capture(capsys, argv)
+    assert (code, count) == (EXIT_VIOLATED, calls)
+
+
+def _pair(key: str) -> tuple[str, frozenset]:
+    y, menu = key.split("|", 1)
+    return y, frozenset(menu.split(","))
+
+
+def _reverify_tags(doc: dict, cert: dict, eps: F, star: bool) -> None:
+    """A printed tag certificate against the instance document alone:
+    the observed total, the best single ordering found by trying every
+    permutation, the right-hand side of its condition and the width."""
+    probs = {_pair(k): F(v) for k, v in doc["choice"].items()}
+    tags = {_pair(k): t for k, t in cert["tags"].items()}
+    assert all(type(t) is int and t > 0 for t in tags.values())
+    assert set(tags) <= set(probs)
+    t = {pair: tags.get(pair, 0) for pair in probs}
+    lhs = sum(p * t[pair] for pair, p in probs.items())
+    best = max(
+        sum(
+            tag for (y, menu), tag in t.items()
+            if next(a for a in order if a in menu) == y
+        )
+        for order in itertools.permutations(doc["alternatives"])
+    )
+    if star:
+        n_menus = 2 ** len(doc["alternatives"]) - 1
+        rhs = (1 - eps) * best + n_menus * eps * max(t.values())
+    else:
+        rhs = best + (max(t.values()) - min(t.values())) * eps / 2
+    assert cert["width"] == max(t.values()) - min(t.values())
+    assert (F(cert["lhs"]), F(cert["rhs"])) == (lhs, rhs)
+    assert lhs > rhs
+    assert cert["verified"] is True
+
+
+def _dot(f, p) -> F:
+    return sum(a * b for a, b in zip(f, p))
+
+
+def _reverify_pareto(doc: dict, cert: dict, eps: F, star: bool) -> None:
+    """A printed Pareto witness against the pooling document alone: the
+    experts' margins, the condition's penalty and the planner's
+    violation."""
+    f, g = [F(v) for v in cert["f"]], [F(v) for v in cert["g"]]
+    planner = [F(v) for v in doc["P"]]
+    experts = [[F(v) for v in q] for q in doc["Q"]]
+    margins = [_dot(f, q) - _dot(g, q) for q in experts]
+    assert [F(m) for m in cert["premise_margins"]] == margins
+    assert all(m >= 0 for m in margins)
+    h = [a - b for a, b in zip(f, g)]
+    osc = max(h) - min(h)
+    penalty = osc - max(h) if star else osc / 2
+    violation = _dot(g, planner) - eps * penalty - _dot(f, planner)
+    assert F(cert["violation"]) == violation
+    assert violation > 0
+    assert cert["verified"] is True
+
+
+def _reverify_gap(doc: dict, report: dict, eps: F) -> None:
+    """A printed separation against the credal document alone: unit
+    stakes whose worst payoff over P beats their best over Q by the
+    printed gap, which exceeds the tolerance."""
+    cert = report["certificate"]
+    f = [F(v) for v in cert["stakes"]]
+    assert max(map(abs, f)) <= 1
+    lo = min(_dot(f, [F(v) for v in p]) for p in doc["P_set"])
+    hi = max(_dot(f, [F(v) for v in q]) for q in doc["Q_set"])
+    assert F(cert["gap"]) == F(report["value"]) == lo - hi
+    assert lo - hi > eps
+    assert cert["verified"] is True
+
+
+def _reverify_report(doc: dict, argv: list[str], report: dict) -> None:
+    """Dispatch a violated report to the check of its certificate."""
+    eps = F(argv[argv.index("--eps") + 1])
+    if argv[0] == "gordan":
+        _reverify_gap(doc, report, eps)
+    elif argv[0] == "pool":
+        star = argv[argv.index("--condition") + 1] == "cstar"
+        _reverify_pareto(doc, report["certificate"], eps, star)
+    else:
+        _reverify_tags(doc, report["certificate"], eps, "--star" in argv)
+
+
+def _certified(argv) -> bool:
+    """Whether *argv* is a command whose violation the CLI certifies."""
+    return (
+        argv[0] == "gordan"
+        or argv[:2] in (["rum", "check"], ["verify", "exhaustive-rum"])
+        or argv[:2] == ["pool", "check"] and argv[3] in ("c", "cstar")
+    )
+
+
+def test_golden_certificates_stand_on_their_own(tmp_path):
+    """Every violation certificate of the golden cases re-verifies from
+    its printed numbers and the instance document alone."""
+    from tests.golden import CASES, _run_in, documents
+
+    docs = documents()
+    seen = 0
+    for argv, code, out in _run_in(tmp_path, filter(_certified, CASES)):
+        if code == EXIT_VIOLATED:
+            name = next(a for a in argv if a in docs)
+            _reverify_report(docs[name], argv, json.loads(out))
+            seen += 1
+    assert seen == 8  # gordan, c, cstar, two per rum check form, the oracle
+
+
+def _lattice_vector(rng: random.Random, size: int) -> list[str]:
+    cuts = sorted(rng.randrange(13) for _ in range(size - 1))
+    return [str(F(b - a, 12)) for a, b in zip([0] + cuts, cuts + [12])]
+
+
+def test_drawn_certificates_stand_on_their_own(capsys, tmp_path):
+    """Seeded random tables at n = 2..4, pools and credal pairs: every
+    certificate that ``rum check [--star]``, ``verify exhaustive-rum``,
+    ``pool check --condition c|cstar`` and ``gordan`` print re-verifies
+    from the JSON alone.  DOC marks where the document's path goes."""
+    rng = random.Random(32)
+    runs = []
+    for n in (2, 3, 4):
+        for _ in range(3):
+            commands = [
+                ["rum", "check", "--eps", rng.choice(["0", "1/10", "1/2"]),
+                 "DOC"],
+                ["rum", "check", "--star", "--eps",
+                 rng.choice(["0", "1/20", "1/10"]), "DOC"],
+            ]
+            if n < 4:  # the oracle's walk is for small tables
+                commands.append(["verify", "exhaustive-rum", "DOC",
+                                 "--eps", "0", "--max-tag", "1"])
+            runs.append((_rum_doc(random_rum(rng, n)), commands))
+    for _ in range(6):
+        size = rng.randrange(2, 5)
+        space = {"labels": [str(i) for i in range(size)]}
+        members = [
+            [_lattice_vector(rng, size) for _ in range(rng.randrange(1, 4))]
+            for _ in range(3)
+        ]
+        pool = {"kind": "pooling", "space": space,
+                "P": _lattice_vector(rng, size), "Q": members[0]}
+        runs.append((pool, [
+            ["pool", "check", "--condition", c, "--eps", e, "DOC"]
+            for c in ("c", "cstar") for e in ("0", "1/12")
+        ]))
+        credal = {"kind": "credal", "space": space,
+                  "P_set": members[1], "Q_set": members[2]}
+        runs.append((credal, [["gordan", "--eps", e, "DOC"]
+                              for e in ("0", "1/12")]))
+    violated = set()
+    for i, (doc, commands) in enumerate(runs):
+        path = tmp_path / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        for cmd in commands:
+            argv = [str(path) if a == "DOC" else a for a in cmd]
+            code, report = _capture_json(capsys, argv)
+            assert code in (0, EXIT_VIOLATED), (argv, report)
+            if code == EXIT_VIOLATED:
+                _reverify_report(doc, argv, report)
+                violated.add((*cmd[:2], "--star" in cmd or "cstar" in cmd))
+    # every command, with and without --star or cstar, violated at least once
+    assert len(violated) == 6, violated
+
+
+def test_exhaustive_rum_scores_the_oracle_vector(
+    capsys, monkeypatch, warp_path
+):
+    """The oracle's brute-force vector is the one certificate the CLI
+    checks itself: an all-zero vector, which violates nothing, exits 4."""
+    monkeypatch.setattr(
+        cli, "exhaustive_rum_check",
+        lambda inst, eps, max_tag: rum.TaggedTrialSequence(
+            tags=(0,) * len(inst.pairs())
+        ),
+    )
+    code, report = _capture_json(
+        capsys,
+        ["verify", "exhaustive-rum", warp_path, "--eps", "1", "--max-tag", "1"],
+    )
+    assert code == EXIT_INTERNAL
+    assert report["error"] == "trial certificate fails re-verification"
+
+
 def test_rum_bm_computes_the_sums_once(capsys, monkeypatch, warp_path):
     """``rum bm`` derives the negative mass and the ratio from one pass
     over the Block-Marschak sums."""

@@ -1346,6 +1346,21 @@ def test_checks_refuse_levels_out_of_range_and_short_tags(warp_cycle):
         evaluate_arsp(warp_cycle, matrix, [1] * (len(matrix.pairs) - 1), 0)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1", True, 1.0])
+@pytest.mark.parametrize("evaluate", [evaluate_arsp, evaluate_arsp_star])
+def test_evaluators_refuse_inexact_tags(warp_cycle, evaluate, bad):
+    """A tag that is not ``int`` or ``Fraction`` is bad input, as at the
+    package's boundary, not a ``TypeError`` from the arithmetic; ``int``
+    and ``Fraction`` tags score as before."""
+    matrix = build_matrix(warp_cycle)
+    tags = [1] * len(matrix.pairs)
+    sides = evaluate(warp_cycle, matrix, tags, F(1, 2))
+    assert evaluate(warp_cycle, matrix, [F(t) for t in tags], F(1, 2)) == sides
+    tags[3] = bad
+    with pytest.raises(InputError, match="^tags must be int or Fraction$"):
+        evaluate(warp_cycle, matrix, tags, F(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # the shared menu layout
 
